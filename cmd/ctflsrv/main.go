@@ -3,15 +3,14 @@
 // Usage:
 //
 //	ctflsrv [-addr :8080] [-data-dir /var/lib/ctflsrv] [-workers 4]
-//	        [-queue 64] [-job-timeout 2m] [-max-body 67108864]
-//	        [-compact-bytes 8388608] [-no-sync] [-pprof] [-log-json]
+//	        [-max-body 67108864] [-compact-bytes 8388608] [-no-sync]
+//	        [-pprof] [-log-json] [-drain-timeout 30s]
 //	        [-job-retries 3] [-degraded-threshold 3] [-probe-interval 1s]
 //	        [-retry-after 1s] [-read-timeout 5m] [-write-timeout 10m]
-//	        [-idle-timeout 2m] [-round-epsilon 0.001] [-round-inner-epsilon 0]
+//	        [-idle-timeout 2m] [-round-epsilon 0.001]
 //	        [-round-perms 0] [-round-seed 1] [-round-workers 0]
 //	        [-gate-threshold T] [-gate-warmup 2] [-gate-hysteresis 0.02]
-//	        [-flight-size 1024] [-flight-tail 256] [-slo-interval 5s]
-//	        [-slo-latency-bound 0.25]
+//	        [-slo-interval 5s]
 //	        [-cluster-self URL] [-cluster-peers URL,URL,...]
 //	        [-replica URL] [-leader URL] [-follow-interval 250ms]
 //	        [-repl-lag-bound 2] [-repl-timeout 5s]
@@ -54,7 +53,6 @@
 //	GET  /v1/trace/{id}    poll a trace job
 //	GET  /v1/rules         inspect the extracted rules
 //	GET  /v1/stats         observability counters + telemetry snapshot
-//	GET  /v1/traces/recent recent request trace trees
 //	GET  /v1/events        flight-recorder wide events (JSON or binary)
 //	GET  /v1/debug/bundle  one-shot incident capture
 //	GET  /v1/version       build identity
@@ -102,8 +100,6 @@ func main() {
 	addr := flag.String("addr", ":8080", "listen address (port 0 picks a free port)")
 	dataDir := flag.String("data-dir", "", "persistence directory (empty = in-memory)")
 	workers := flag.Int("workers", 4, "trace worker pool size")
-	queue := flag.Int("queue", 64, "max queued trace jobs before 503")
-	jobTimeout := flag.Duration("job-timeout", 2*time.Minute, "per-trace-job timeout")
 	maxBody := flag.Int64("max-body", 64<<20, "max POST body bytes before 413")
 	compactBytes := flag.Int64("compact-bytes", 8<<20, "WAL size triggering snapshot compaction")
 	noSync := flag.Bool("no-sync", false, "skip per-append WAL fsync (faster, less durable)")
@@ -115,18 +111,14 @@ func main() {
 	readTimeout := flag.Duration("read-timeout", 5*time.Minute, "max time to read a request incl. body (0 = unlimited)")
 	writeTimeout := flag.Duration("write-timeout", 10*time.Minute, "max time to write a response; must exceed the longest ?wait= long-poll (0 = unlimited)")
 	idleTimeout := flag.Duration("idle-timeout", 2*time.Minute, "max keep-alive idle time per connection (0 = unlimited)")
-	roundEpsilon := flag.Float64("round-epsilon", 0, "between-round truncation threshold for streaming valuation (0 = default 1e-3, negative disables)")
-	roundInnerEpsilon := flag.Float64("round-inner-epsilon", 0, "within-round truncation threshold (0 = same as -round-epsilon, negative disables)")
+	roundEpsilon := flag.Float64("round-epsilon", 0, "between- and within-round truncation threshold for streaming valuation (0 = default 1e-3, negative disables)")
 	roundPerms := flag.Int("round-perms", 0, "permutation samples per streamed round (0 = engine default)")
 	roundSeed := flag.Int64("round-seed", 1, "seed for the streaming valuation sampler")
 	roundWorkers := flag.Int("round-workers", 0, "coalition-evaluation workers per streamed round (0 = engine default)")
 	gateThreshold := flag.Float64("gate-threshold", math.NaN(), "contribution-gate score threshold (ContAvg defense; unset disables gating)")
 	gateWarmup := flag.Int("gate-warmup", 2, "applied rounds before gate decisions begin")
 	gateHysteresis := flag.Float64("gate-hysteresis", 0.02, "readmission margin above -gate-threshold")
-	flightSize := flag.Int("flight-size", 1024, "flight recorder routine-ring capacity (events)")
-	flightTail := flag.Int("flight-tail", 256, "flight recorder pinned-tail capacity (interesting events)")
 	sloInterval := flag.Duration("slo-interval", 5*time.Second, "background SLO burn-rate evaluation cadence (negative disables)")
-	sloLatencyBound := flag.Float64("slo-latency-bound", 0.25, "per-route latency SLO threshold in seconds")
 	clusterSelf := flag.String("cluster-self", "", "this node's public base URL within -cluster-peers")
 	clusterPeers := flag.String("cluster-peers", "", "comma-separated base URLs of every ring member (requires -cluster-self)")
 	replicaURL := flag.String("replica", "", "follower base URL to replicate the WAL to (leader role; requires -data-dir)")
@@ -159,8 +151,6 @@ func main() {
 	svc, err := server.NewWithOptions(server.Options{
 		DataDir:           *dataDir,
 		Workers:           *workers,
-		QueueDepth:        *queue,
-		JobTimeout:        *jobTimeout,
 		MaxBodyBytes:      *maxBody,
 		CompactBytes:      *compactBytes,
 		NoSync:            *noSync,
@@ -170,15 +160,11 @@ func main() {
 		ProbeInterval:     *probeInterval,
 		RetryAfter:        *retryAfter,
 		RoundEpsilon:      *roundEpsilon,
-		RoundInnerEpsilon: *roundInnerEpsilon,
 		RoundPermutations: *roundPerms,
 		RoundSeed:         *roundSeed,
 		RoundWorkers:      *roundWorkers,
 		RoundGate:         gate,
-		FlightSize:        *flightSize,
-		FlightTailSize:    *flightTail,
 		SLOInterval:       *sloInterval,
-		SLOLatencyBound:   *sloLatencyBound,
 		ClusterSelf:       *clusterSelf,
 		ClusterPeers:      splitPeers(*clusterPeers),
 		ReplicaURL:        *replicaURL,

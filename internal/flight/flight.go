@@ -4,8 +4,7 @@
 // retention. Metrics answer "how fast is the service"; the flight
 // recorder answers "why was *this* request slow" — each event carries the
 // route, status, latency, byte counts, retry/fault counters, cache-hit
-// flag, degraded-mode flag, and the request id that keys the span tree in
-// the telemetry SpanLog.
+// flag, degraded-mode flag, and the request's id.
 //
 // Retention is tail-based: routine events (success at routine latency) go
 // into a large ring that overwrites freely, while *interesting* events —
@@ -143,8 +142,9 @@ type Event struct {
 	// (WAL events); Method is the HTTP method, "" for non-HTTP kinds.
 	Route  string
 	Method string
-	// RequestID is the span-tree reference: the same id stamps the root
-	// span in GET /v1/traces/recent and the X-Request-Id response header.
+	// RequestID is the X-Request-Id the request carried or was given (the
+	// response echoes it, the access log stamps it); for job events, the
+	// job id.
 	RequestID string
 	// DurationNs is the unit's wall time in nanoseconds.
 	DurationNs int64

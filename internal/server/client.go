@@ -577,20 +577,6 @@ func (c *Client) Metrics(ctx context.Context) (string, error) {
 	return string(data), err
 }
 
-// TracesRecent fetches up to n recent request trace trees, newest first
-// (n <= 0 uses the server default).
-func (c *Client) TracesRecent(ctx context.Context, n int) (*TracesResponse, error) {
-	path := "/v1/traces/recent"
-	if n > 0 {
-		path = fmt.Sprintf("%s?n=%d", path, n)
-	}
-	var out TracesResponse
-	if err := c.do(ctx, http.MethodGet, path, "", "", nil, &out, true); err != nil {
-		return nil, err
-	}
-	return &out, nil
-}
-
 // Rules fetches the extracted rule set.
 func (c *Client) Rules(ctx context.Context) ([]RuleJSON, error) {
 	var out []RuleJSON

@@ -133,7 +133,7 @@ func (s *Server) initCluster() error {
 func clusterExempt(pattern string) bool {
 	switch pattern {
 	case "/healthz", "/metrics", "/v1/replicate", "/v1/stats", "/v1/events",
-		"/v1/version", "/v1/debug/bundle", "/v1/traces/recent":
+		"/v1/version", "/v1/debug/bundle":
 		return true
 	}
 	return false

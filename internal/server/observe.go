@@ -1,6 +1,6 @@
 package server
 
-// Observability wiring beyond the metrics/span layer (telemetry.go): the
+// Observability wiring beyond the route middleware (telemetry.go): the
 // flight recorder's emission points, the SLO burn-rate objectives and
 // their coupling to the degraded-mode controller, and the diagnostic
 // routes GET /v1/events, GET /v1/debug/bundle, and GET /v1/version.
@@ -48,6 +48,15 @@ const (
 // incident.
 const sloSyncFloor = 100 * time.Millisecond
 
+// SLO thresholds in seconds: a request slower than sloLatencyBound, scores
+// older than sloStalenessBound, or a round update slower than
+// sloIngestBound burns its objective's budget.
+const (
+	sloLatencyBound   = 0.25
+	sloStalenessBound = 300
+	sloIngestBound    = 1
+)
+
 // registerSLOs declares the server's standing objectives. Called before
 // route registration so the middleware can add its per-route latency
 // objectives to the same evaluator.
@@ -62,11 +71,11 @@ func (s *Server) registerSLOs() {
 	})
 	s.slo.Add(telemetry.SLOConfig{
 		Name:   sloStaleness,
-		Source: &telemetry.GaugeSLOSource{G: s.roundsObs.Staleness, Bound: s.opts.SLOStalenessBound},
+		Source: &telemetry.GaugeSLOSource{G: s.roundsObs.Staleness, Bound: sloStalenessBound},
 	})
 	s.slo.Add(telemetry.SLOConfig{
 		Name:   sloIngestLag,
-		Source: telemetry.HistogramSLOSource{H: s.roundsObs.UpdateSeconds, Bound: s.opts.SLOIngestBound},
+		Source: telemetry.HistogramSLOSource{H: s.roundsObs.UpdateSeconds, Bound: sloIngestBound},
 	})
 	// Followers watch their leader through the replication-lag gauge; a
 	// burn-rate breach of this objective is the promotion trigger.
@@ -358,9 +367,8 @@ func (s *Server) handleVersion(w http.ResponseWriter, r *http.Request) {
 
 // DebugBundle is the one-shot incident capture GET /v1/debug/bundle
 // returns: build identity, state summary, SLO status, the full retained
-// flight-event set, recent span trees, and the complete telemetry
-// snapshot — everything an operator attaches to an incident report with
-// one curl.
+// flight-event set, and the complete telemetry snapshot — everything an
+// operator attaches to an incident report with one curl.
 type DebugBundle struct {
 	CapturedAtUnix int64                   `json:"captured_at_unix"`
 	Version        VersionInfo             `json:"version"`
@@ -369,7 +377,6 @@ type DebugBundle struct {
 	SLO            []telemetry.SLOStatus   `json:"slo"`
 	FlightStats    flight.Stats            `json:"flight_stats"`
 	Events         []EventJSON             `json:"events"`
-	Traces         []telemetry.SpanView    `json:"traces"`
 	Telemetry      map[string]any          `json:"telemetry"`
 	Jobs           map[string]int64        `json:"jobs"`
 	Store          *store.Metrics          `json:"store,omitempty"`
@@ -410,7 +417,6 @@ func (s *Server) handleDebugBundle(w http.ResponseWriter, r *http.Request) {
 		SLO:            s.slo.Snapshot(),
 		FlightStats:    s.flightRec.Stats(),
 		Events:         events,
-		Traces:         s.spans.Recent(0),
 		Telemetry:      s.reg.Snapshot(),
 		Jobs:           s.engine.MetricsView(),
 	}

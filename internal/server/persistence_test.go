@@ -286,12 +286,9 @@ func TestStatsEndpoint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var reqs map[string]int64
-	if err := json.Unmarshal(st.Requests, &reqs); err != nil {
-		t.Fatal(err)
-	}
-	if reqs["/v1/trace"] != 2 || reqs["/v1/uploads"] != 1 {
-		t.Fatalf("request counters = %v", reqs)
+	reqs := func(route string) any { return st.Telemetry[`ctfl_http_requests_total{route="`+route+`"}`] }
+	if reqs("/v1/trace") != 2.0 || reqs("/v1/uploads") != 1.0 {
+		t.Fatalf("request counters: trace %v, uploads %v", reqs("/v1/trace"), reqs("/v1/uploads"))
 	}
 	if st.Jobs["done"] != 1 || st.Jobs["cache_hits"] != 1 || st.Jobs["submitted"] != 1 {
 		t.Fatalf("job counters = %v", st.Jobs)

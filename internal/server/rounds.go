@@ -72,7 +72,6 @@ func (s *Server) applyRoundEval(test *dataset.Table, raw []byte) {
 		EvalX:        evalX,
 		EvalY:        evalY,
 		Epsilon:      s.opts.RoundEpsilon,
-		InnerEpsilon: s.opts.RoundInnerEpsilon,
 		Permutations: s.opts.RoundPermutations,
 		Seed:         s.opts.RoundSeed,
 		Workers:      s.opts.RoundWorkers,

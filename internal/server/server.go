@@ -12,9 +12,9 @@
 //	POST /v1/trace         submit a reserved test set (CSV) → trace job
 //	GET  /v1/trace/{id}    poll a trace job's status / result
 //	GET  /v1/rules         the extracted rule set (interpretability)
-//	GET  /v1/stats         observability counters (requests, jobs, store)
+//	GET  /v1/stats         telemetry snapshot plus job, store and SLO state
 //	GET  /v1/events        flight-recorder wide events (JSON or binary v2)
-//	GET  /v1/debug/bundle  one-shot incident capture (state+SLO+events+traces)
+//	GET  /v1/debug/bundle  one-shot incident capture (state+SLO+events)
 //	GET  /v1/version       build identity (module, VCS revision)
 //	GET  /healthz          liveness
 //
@@ -51,7 +51,6 @@ import (
 	"encoding/binary"
 	"encoding/json"
 	"errors"
-	"expvar"
 	"fmt"
 	"io"
 	"log/slog"
@@ -92,13 +91,10 @@ type Options struct {
 	// DataDir enables durable persistence: lifecycle events are WAL-logged
 	// under this directory and replayed on construction. Empty = ephemeral.
 	DataDir string
-	// Workers sizes the trace worker pool (default 4).
+	// Workers sizes the trace worker pool (default 4). The queue in front
+	// of it holds 64 jobs (POST /v1/trace answers 503 beyond that) and one
+	// trace may run for 2 minutes: the internal/jobs defaults.
 	Workers int
-	// QueueDepth bounds pending trace jobs (default 64); beyond it POST
-	// /v1/trace returns 503.
-	QueueDepth int
-	// JobTimeout caps one trace computation (default 2m).
-	JobTimeout time.Duration
 	// MaxBodyBytes caps any POST body (default 64 MiB); beyond it the
 	// request fails with 413.
 	MaxBodyBytes int64
@@ -116,9 +112,6 @@ type Options struct {
 	// only Logger is set, Logf is derived from it so internal printf-style
 	// call sites keep working.
 	Logf func(format string, args ...any)
-	// SpanLogSize bounds the ring buffer of recent request trace trees
-	// served by GET /v1/traces/recent (default 64).
-	SpanLogSize int
 	// JobRetry re-runs failed trace jobs (panics are quarantined instead).
 	// The zero value disables retries.
 	JobRetry jobs.RetryPolicy
@@ -135,12 +128,10 @@ type Options struct {
 	// server.handler) for resilience testing. Nil disables injection.
 	Faults *faults.Injector
 
-	// RoundEpsilon is the streaming engine's between-round truncation
-	// threshold (0 = the engine default 1e-3, negative disables skipping).
+	// RoundEpsilon is the streaming engine's truncation threshold, between
+	// rounds and within them (0 = the engine default 1e-3, negative
+	// disables truncation).
 	RoundEpsilon float64
-	// RoundInnerEpsilon is the within-round truncation threshold
-	// (0 = same as RoundEpsilon, negative disables).
-	RoundInnerEpsilon float64
 	// RoundPermutations is the per-round sampling budget (0 = n·log2(n+1)).
 	RoundPermutations int
 	// RoundSeed drives the engine's permutation sampling.
@@ -154,24 +145,10 @@ type Options struct {
 	// KindGate flight events. Nil disables gating.
 	RoundGate *rounds.GateConfig
 
-	// FlightSize bounds the flight recorder's routine ring (default 1024
-	// events); FlightTailSize bounds the pinned tail of interesting events
-	// (default 256). The recorder is always on.
-	FlightSize     int
-	FlightTailSize int
 	// SLOInterval is the background SLO evaluation cadence (default 5s;
 	// negative disables the ticker — WAL traffic still ticks
 	// synchronously, which is what deterministic tests rely on).
 	SLOInterval time.Duration
-	// SLOLatencyBound is the per-route latency objective's threshold in
-	// seconds (default 0.25): a request slower than this burns budget.
-	SLOLatencyBound float64
-	// SLOStalenessBound is the score_staleness objective's threshold in
-	// seconds (default 300).
-	SLOStalenessBound float64
-	// SLOIngestBound is the rounds_ingest_lag objective's threshold in
-	// seconds (default 1): a round update slower than this burns budget.
-	SLOIngestBound float64
 
 	// ClusterSelf is this node's public base URL on the shard ring, e.g.
 	// "http://10.0.0.1:8080". Required when ClusterPeers is set.
@@ -206,12 +183,6 @@ func (o Options) withDefaults() Options {
 	if o.Workers <= 0 {
 		o.Workers = 4
 	}
-	if o.QueueDepth <= 0 {
-		o.QueueDepth = 64
-	}
-	if o.JobTimeout <= 0 {
-		o.JobTimeout = 2 * time.Minute
-	}
 	if o.MaxBodyBytes <= 0 {
 		o.MaxBodyBytes = 64 << 20
 	}
@@ -227,9 +198,6 @@ func (o Options) withDefaults() Options {
 			lg.Info(fmt.Sprintf(format, args...))
 		}
 	}
-	if o.SpanLogSize <= 0 {
-		o.SpanLogSize = 64
-	}
 	if o.DegradedThreshold <= 0 {
 		o.DegradedThreshold = 3
 	}
@@ -239,23 +207,8 @@ func (o Options) withDefaults() Options {
 	if o.RetryAfter <= 0 {
 		o.RetryAfter = time.Second
 	}
-	if o.FlightSize <= 0 {
-		o.FlightSize = 1024
-	}
-	if o.FlightTailSize <= 0 {
-		o.FlightTailSize = 256
-	}
 	if o.SLOInterval == 0 {
 		o.SLOInterval = 5 * time.Second
-	}
-	if o.SLOLatencyBound <= 0 {
-		o.SLOLatencyBound = 0.25
-	}
-	if o.SLOStalenessBound <= 0 {
-		o.SLOStalenessBound = 300
-	}
-	if o.SLOIngestBound <= 0 {
-		o.SLOIngestBound = 1
 	}
 	if o.FollowInterval <= 0 {
 		o.FollowInterval = 250 * time.Millisecond
@@ -320,16 +273,13 @@ type Server struct {
 	// WAL appends trigger (see sloSyncFloor). Guarded by mu (write).
 	lastSLOTick time.Time
 
-	mux      *http.ServeMux
-	requests *expvar.Map // per-route request counters (legacy /v1/stats shape)
-	started  time.Time
+	mux     *http.ServeMux
+	started time.Time
 
 	// Observability substrate: one registry for every metric family the
-	// process owns, a ring of recent request trace trees, the unified
-	// structured logger, and the tracer/store instrument handles threaded
-	// into the subsystems.
+	// process owns, the unified structured logger, and the tracer/store
+	// instrument handles threaded into the subsystems.
 	reg      *telemetry.Registry
-	spans    *telemetry.SpanLog
 	log      *slog.Logger
 	inFlight *telemetry.Gauge
 	coreObs  *core.Obs
@@ -399,13 +349,11 @@ func New() *Server {
 func NewWithOptions(opts Options) (*Server, error) {
 	opts = opts.withDefaults()
 	s := &Server{
-		opts:     opts,
-		mux:      http.NewServeMux(),
-		requests: new(expvar.Map).Init(),
-		started:  time.Now(),
-		reg:      telemetry.NewRegistry(),
-		spans:    telemetry.NewSpanLog(opts.SpanLogSize),
-		log:      opts.Logger,
+		opts:    opts,
+		mux:     http.NewServeMux(),
+		started: time.Now(),
+		reg:     telemetry.NewRegistry(),
+		log:     opts.Logger,
 	}
 	s.inFlight = s.reg.Gauge("ctfl_http_in_flight", "HTTP requests currently being served")
 	s.coreObs = core.NewObs(s.reg)
@@ -423,11 +371,7 @@ func NewWithOptions(opts Options) (*Server, error) {
 	// Observability tier: always-on flight recorder, process runtime
 	// stats, and the SLO burn-rate engine. Registered before the routes so
 	// the middleware can attach per-route latency objectives.
-	s.flightRec = flight.New(flight.Config{
-		Size:     opts.FlightSize,
-		TailSize: opts.FlightTailSize,
-		Obs:      flight.NewObs(s.reg),
-	})
+	s.flightRec = flight.New(flight.Config{Obs: flight.NewObs(s.reg)})
 	s.runtime = telemetry.NewRuntimeStats(s.reg, s.started)
 	s.httpResponses = s.reg.Counter("ctfl_http_responses_total", "HTTP responses served, any status")
 	s.httpServerErrors = s.reg.Counter("ctfl_http_response_errors_total", "HTTP 5xx responses served")
@@ -435,8 +379,6 @@ func NewWithOptions(opts Options) (*Server, error) {
 	s.walFailures = s.reg.Counter("ctfl_wal_failures_total", "failed WAL appends")
 	s.degradedSLOTrips = s.reg.Counter("ctfl_server_degraded_slo_trips_total",
 		"degradations tripped by wal_availability SLO burn (vs the consecutive-failure threshold)")
-	s.spans.SetEvictionCounter(s.reg.Counter("ctfl_spans_children_evicted_total",
-		"span children dropped by the per-span cap"))
 	if err := s.initCluster(); err != nil {
 		return nil, err
 	}
@@ -444,12 +386,10 @@ func NewWithOptions(opts Options) (*Server, error) {
 	s.registerSLOs()
 
 	s.engine = jobs.New(jobs.Config{
-		Workers:    opts.Workers,
-		QueueDepth: opts.QueueDepth,
-		JobTimeout: opts.JobTimeout,
-		Retry:      opts.JobRetry,
-		Faults:     opts.Faults,
-		Obs:        jobs.NewObs(s.reg),
+		Workers: opts.Workers,
+		Retry:   opts.JobRetry,
+		Faults:  opts.Faults,
+		Obs:     jobs.NewObs(s.reg),
 		OnFinish: func(v jobs.View) {
 			ev := flight.Event{
 				Kind:      flight.KindJob,
@@ -509,7 +449,6 @@ func NewWithOptions(opts Options) (*Server, error) {
 	s.route("/v1/trace/{id}", s.handleTraceJob)
 	s.route("/v1/rules", s.handleRules)
 	s.route("/v1/stats", s.handleStats)
-	s.route("/v1/traces/recent", s.handleTracesRecent)
 	s.route("/v1/events", s.handleEvents)
 	s.route("/v1/debug/bundle", s.handleDebugBundle)
 	s.route("/v1/version", s.handleVersion)
@@ -1147,21 +1086,10 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 	}
 
 	key := traceKey(body, tau, delta, snap.version)
-	// Capture the request context for span parentage only: context values
-	// survive request cancellation, so the async job's spans attach under
-	// the request's root even after the handler has answered 202. The
-	// job's own cancellation comes from the engine-provided ctx.
-	sctx := r.Context()
 	job, err := s.engine.Submit(key, func(ctx context.Context) (any, error) {
-		jctx, jspan := telemetry.StartSpan(sctx, "job.trace")
-		defer jspan.End()
-		jspan.SetAttr("rows", test.Len())
-		jspan.SetAttr("participants", snap.parts)
 		tracer := core.NewTracerFromUploads(snap.rs, snap.parts, cloneUploads(snap.uploads),
 			core.Config{TauW: tau, Delta: delta, Obs: s.coreObs})
-		_, tspan := telemetry.StartSpan(jctx, "tracer.trace")
 		res := tracer.Trace(test)
-		tspan.End()
 		sus := res.Suspicion(0.5)
 		return &TraceResponse{
 			Accuracy:     res.Accuracy(),
@@ -1304,16 +1232,14 @@ func (s *Server) handleRules(w http.ResponseWriter, r *http.Request) {
 // StatsResponse is the shape of GET /v1/stats.
 type StatsResponse struct {
 	UptimeSeconds float64          `json:"uptime_seconds"`
-	Requests      json.RawMessage  `json:"requests"`
 	Jobs          map[string]int64 `json:"jobs"`
 	Store         *store.Metrics   `json:"store,omitempty"`
 	State         map[string]any   `json:"state"`
 	// Telemetry is the full metric-registry snapshot — the JSON twin of
-	// GET /metrics. Counters/gauges are scalars; histograms carry
-	// count/sum/p50/p95/p99.
+	// GET /metrics, and the only source of per-route request counts
+	// (ctfl_http_requests_total{route=…}). Counters/gauges are scalars;
+	// histograms carry count/sum/p50/p95/p99.
 	Telemetry map[string]any `json:"telemetry,omitempty"`
-	// Traces counts root spans recorded so far (see /v1/traces/recent).
-	Traces int64 `json:"traces"`
 	// SLO is every declared objective's live burn-rate status.
 	SLO []telemetry.SLOStatus `json:"slo,omitempty"`
 	// Flight is the flight recorder's retention accounting.
@@ -1345,11 +1271,9 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	s.runtime.Collect()
 	resp := StatsResponse{
 		UptimeSeconds: time.Since(s.started).Seconds(),
-		Requests:      json.RawMessage(s.requests.String()),
 		Jobs:          s.engine.MetricsView(),
 		State:         st,
 		Telemetry:     s.reg.Snapshot(),
-		Traces:        s.spans.Total(),
 		SLO:           s.slo.Snapshot(),
 		Flight:        s.flightRec.Stats(),
 	}

@@ -2,10 +2,9 @@ package server
 
 // Observability surface: every route runs through a middleware that stamps
 // a request id, emits a structured access-log line, counts and times the
-// request, and opens the root span of the request's trace tree. The
-// aggregate state is exported three ways — Prometheus text on GET /metrics,
-// a JSON snapshot merged into GET /v1/stats, and recent span trees on
-// GET /v1/traces/recent.
+// request, and records it as one flight event keyed by that request id.
+// The aggregate state is exported twice from one registry — Prometheus
+// text on GET /metrics and a JSON snapshot in GET /v1/stats.
 
 import (
 	"context"
@@ -20,8 +19,8 @@ import (
 )
 
 // statusWriter captures the status code, body size, and (for failures) a
-// prefix of the body a handler produced, for the access log, the root
-// span, and the request's flight event.
+// prefix of the body a handler produced, for the access log and the
+// request's flight event.
 type statusWriter struct {
 	http.ResponseWriter
 	code    int
@@ -78,7 +77,7 @@ func extrasFrom(ctx context.Context) *reqExtras {
 
 // route registers a handler behind the telemetry middleware: request-id
 // propagation, per-route counter + latency histogram, in-flight gauge,
-// root span, and one access-log line per request.
+// one flight event and one access-log line per request.
 func (s *Server) route(pattern string, h http.HandlerFunc) {
 	reqs := s.reg.Counter(fmt.Sprintf("ctfl_http_requests_total{route=%q}", pattern),
 		"HTTP requests served, by route")
@@ -90,7 +89,7 @@ func (s *Server) route(pattern string, h http.HandlerFunc) {
 	// bucketizes, so the objective just counts observations over the bound.
 	s.slo.Add(telemetry.SLOConfig{
 		Name:   "latency:" + pattern,
-		Source: telemetry.HistogramSLOSource{H: lat, Bound: s.opts.SLOLatencyBound},
+		Source: telemetry.HistogramSLOSource{H: lat, Bound: sloLatencyBound},
 	})
 	s.mux.HandleFunc(pattern, func(w http.ResponseWriter, r *http.Request) {
 		t0 := time.Now()
@@ -101,16 +100,11 @@ func (s *Server) route(pattern string, h http.HandlerFunc) {
 		reqLog := s.log.With("request_id", id)
 		ctx := telemetry.WithRequestID(r.Context(), id)
 		ctx = telemetry.WithLogger(ctx, reqLog)
-		ctx = telemetry.WithSpanLog(ctx, s.spans)
 		ex := &reqExtras{}
 		ctx = withReqExtras(ctx, ex)
-		ctx, span := telemetry.StartSpan(ctx, "http "+pattern)
-		span.SetAttr("method", r.Method)
-		span.SetAttr("request_id", id)
 
 		w.Header().Set("X-Request-Id", id)
 		sw := &statusWriter{ResponseWriter: w, code: http.StatusOK}
-		s.requests.Add(pattern, 1)
 		reqs.Inc()
 		s.inFlight.Add(1)
 		r = r.WithContext(ctx)
@@ -155,8 +149,6 @@ func (s *Server) route(pattern string, h http.HandlerFunc) {
 			Err:        sw.errDetail(),
 		})
 
-		span.SetAttr("status", sw.code)
-		span.End()
 		reqLog.Info("request",
 			"method", r.Method,
 			"route", pattern,
@@ -185,27 +177,4 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	s.runtime.Collect()
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	s.reg.WritePrometheus(w)
-}
-
-// TracesResponse is the shape of GET /v1/traces/recent.
-type TracesResponse struct {
-	// Total counts every root span ever recorded; Traces holds the most
-	// recent ones (ring-buffer bounded), newest first.
-	Total  int64                `json:"total"`
-	Traces []telemetry.SpanView `json:"traces"`
-}
-
-// handleTracesRecent serves recent request trace trees, newest first.
-// ?n= bounds the count (default 20).
-func (s *Server) handleTracesRecent(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		httpError(w, http.StatusMethodNotAllowed, errors.New("GET required"))
-		return
-	}
-	n, err := queryInt(r, "n", 20)
-	if err != nil {
-		httpError(w, http.StatusBadRequest, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, TracesResponse{Total: s.spans.Total(), Traces: s.spans.Recent(n)})
 }

@@ -9,8 +9,6 @@ import (
 	"strings"
 	"sync"
 	"testing"
-
-	"repro/internal/telemetry"
 )
 
 // postFixture publishes the encoder, model, and upload frames of fx,
@@ -33,19 +31,6 @@ func postFixture(t *testing.T, ts *httptest.Server, fx *federationFixture) {
 	}
 }
 
-// findSpan walks a span forest for a span with the given name.
-func findSpan(views []telemetry.SpanView, name string) *telemetry.SpanView {
-	for i := range views {
-		if views[i].Name == name {
-			return &views[i]
-		}
-		if c := findSpan(views[i].Children, name); c != nil {
-			return c
-		}
-	}
-	return nil
-}
-
 func TestMetricsAndTraceEndpoints(t *testing.T) {
 	if testing.Short() {
 		t.Skip("training test")
@@ -61,7 +46,8 @@ func TestMetricsAndTraceEndpoints(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("POST /v1/trace: status %d", resp.StatusCode)
 	}
-	if id := resp.Header.Get("X-Request-Id"); id == "" {
+	reqID := resp.Header.Get("X-Request-Id")
+	if reqID == "" {
 		t.Error("trace response missing X-Request-Id header")
 	}
 	resp.Body.Close()
@@ -102,35 +88,24 @@ func TestMetricsAndTraceEndpoints(t *testing.T) {
 	if _, ok := st.Telemetry["ctfl_jobs_submitted_total"]; !ok {
 		t.Error("stats telemetry snapshot missing ctfl_jobs_submitted_total")
 	}
-	if st.Traces == 0 {
-		t.Error("stats reports zero recorded traces")
-	}
 	if st.UptimeSeconds <= 0 {
 		t.Errorf("uptime %v, want > 0", st.UptimeSeconds)
 	}
 
-	// The trace request produced the full span chain: HTTP root → async
-	// job → tracer pass.
-	tr, err := c.TracesRecent(ctx, 0)
-	if err != nil {
-		t.Fatal(err)
+	// The flight recorder is the one per-request record: the trace request
+	// is an event under the id echoed in X-Request-Id, and the job that
+	// served it is an event of its own.
+	var request, job bool
+	for _, ev := range getEvents(t, ts, "").Events {
+		switch {
+		case ev.Kind == "request" && ev.Route == "/v1/trace":
+			request = ev.RequestID == reqID && ev.Status == http.StatusOK && ev.DurationNs > 0
+		case ev.Kind == "job" && ev.Route == "job.trace":
+			job = ev.Outcome == "ok" && ev.DurationNs > 0
+		}
 	}
-	if tr.Total == 0 || len(tr.Traces) == 0 {
-		t.Fatalf("no recorded traces: %+v", tr)
-	}
-	root := findSpan(tr.Traces, "http /v1/trace")
-	if root == nil {
-		t.Fatalf("no 'http /v1/trace' root span among %d traces", len(tr.Traces))
-	}
-	if root.Attrs["request_id"] == nil || root.Attrs["status"] == nil {
-		t.Errorf("root span attrs missing request_id/status: %v", root.Attrs)
-	}
-	job := findSpan(root.Children, "job.trace")
-	if job == nil {
-		t.Fatalf("root span has no job.trace child: %+v", root)
-	}
-	if findSpan(job.Children, "tracer.trace") == nil {
-		t.Fatalf("job.trace span has no tracer.trace child: %+v", job)
+	if !request || !job {
+		t.Fatalf("flight events: request under %q recorded %v, job recorded %v", reqID, request, job)
 	}
 }
 
@@ -175,8 +150,8 @@ func TestAccessLogCarriesRequestID(t *testing.T) {
 	}
 }
 
-// TestConcurrentScrapeWhileUploading exercises the metric registry, span
-// log, and stats endpoint while lifecycle mutations and traces are in
+// TestConcurrentScrapeWhileUploading exercises the metric registry, flight
+// recorder, and stats endpoint while lifecycle mutations and traces are in
 // flight — the race detector is the assertion.
 func TestConcurrentScrapeWhileUploading(t *testing.T) {
 	if testing.Short() {
@@ -215,7 +190,13 @@ func TestConcurrentScrapeWhileUploading(t *testing.T) {
 	for _, scrape := range []func() error{
 		func() error { _, err := c.Metrics(ctx); return err },
 		func() error { _, err := c.Stats(ctx); return err },
-		func() error { _, err := c.TracesRecent(ctx, 10); return err },
+		func() error {
+			resp, err := http.Get(ts.URL + "/v1/events?n=10")
+			if err == nil {
+				resp.Body.Close()
+			}
+			return err
+		},
 	} {
 		wg.Add(1)
 		go func(f func() error) {

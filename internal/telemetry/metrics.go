@@ -1,8 +1,7 @@
 // Package telemetry is the repo's stdlib-only observability substrate:
 // a metrics registry (atomic counters, float gauges, fixed-bucket
-// histograms with quantile snapshots), lightweight hierarchical span
-// tracing with a ring buffer of recent traces, and log/slog glue with
-// request-id propagation.
+// histograms with quantile snapshots), SLO burn-rate evaluation, and
+// log/slog glue with request-id propagation.
 //
 // Everything is allocation-conscious and safe for concurrent use. The
 // packages it instruments (nn, core, jobs, store, server) keep telemetry

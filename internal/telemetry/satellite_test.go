@@ -1,133 +1,12 @@
 package telemetry
 
-// Satellite coverage for ISSUE 8: SpanLog ring wraparound under
-// concurrent writers, the per-span child cap, histogram quantile edge
-// cases, CountOver, and the process runtime gauges.
+// Histogram quantile edge cases, CountOver, and the process runtime gauges.
 
 import (
-	"context"
-	"fmt"
 	"math"
-	"sync"
 	"testing"
 	"time"
 )
-
-func TestSpanLogWraparoundConcurrent(t *testing.T) {
-	const cap, writers, perWriter = 16, 8, 200
-	l := NewSpanLog(cap)
-	var wg sync.WaitGroup
-	for w := 0; w < writers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := 0; i < perWriter; i++ {
-				ctx := WithSpanLog(context.Background(), l)
-				ctx, root := StartSpan(ctx, fmt.Sprintf("root-%d-%d", w, i))
-				_, child := StartSpan(ctx, "child")
-				child.End()
-				root.End()
-			}
-		}(w)
-	}
-	// Readers race the writers across many wraparounds.
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		for i := 0; i < 200; i++ {
-			for _, v := range l.Recent(0) {
-				if v.Name == "" {
-					t.Error("empty span name in recent trace")
-					return
-				}
-			}
-		}
-	}()
-	wg.Wait()
-	<-done
-	if got := l.Total(); got != writers*perWriter {
-		t.Fatalf("total = %d, want %d", got, writers*perWriter)
-	}
-	recent := l.Recent(0)
-	if len(recent) != cap {
-		t.Fatalf("retained %d roots after wraparound, want %d", len(recent), cap)
-	}
-	if got := l.Recent(5); len(got) != 5 {
-		t.Fatalf("Recent(5) returned %d", len(got))
-	}
-}
-
-func TestSpanChildCapEvictsOldest(t *testing.T) {
-	l := NewSpanLog(4)
-	l.SetMaxChildren(3)
-	evicted := &Counter{}
-	l.SetEvictionCounter(evicted)
-
-	ctx := WithSpanLog(context.Background(), l)
-	ctx, root := StartSpan(ctx, "root")
-	for i := 0; i < 10; i++ {
-		_, c := StartSpan(ctx, fmt.Sprintf("child-%d", i))
-		c.End()
-	}
-	root.End()
-
-	views := l.Recent(1)
-	if len(views) != 1 {
-		t.Fatalf("recent = %d roots", len(views))
-	}
-	v := views[0]
-	if len(v.Children) != 3 {
-		t.Fatalf("retained %d children, want 3", len(v.Children))
-	}
-	// Ring semantics: the newest children survive.
-	for i, c := range v.Children {
-		if want := fmt.Sprintf("child-%d", 7+i); c.Name != want {
-			t.Fatalf("child %d = %s, want %s", i, c.Name, want)
-		}
-	}
-	if v.DroppedChildren != 7 {
-		t.Fatalf("dropped_children = %d, want 7", v.DroppedChildren)
-	}
-	if evicted.Value() != 7 {
-		t.Fatalf("eviction counter = %d, want 7", evicted.Value())
-	}
-}
-
-func TestSpanChildCapAppliesToNestedSpans(t *testing.T) {
-	l := NewSpanLog(2)
-	l.SetMaxChildren(2)
-	ctx := WithSpanLog(context.Background(), l)
-	ctx, root := StartSpan(ctx, "root")
-	mid, midSpan := StartSpan(ctx, "mid")
-	for i := 0; i < 5; i++ {
-		_, c := StartSpan(mid, fmt.Sprintf("leaf-%d", i))
-		c.End()
-	}
-	midSpan.End()
-	root.End()
-	v := l.Recent(1)[0]
-	if len(v.Children) != 1 || v.Children[0].Name != "mid" {
-		t.Fatalf("root children = %+v", v.Children)
-	}
-	if got := v.Children[0]; len(got.Children) != 2 || got.DroppedChildren != 3 {
-		t.Fatalf("nested cap not applied: %d children, %d dropped", len(got.Children), got.DroppedChildren)
-	}
-}
-
-func TestSpanChildCapDefault(t *testing.T) {
-	l := NewSpanLog(1)
-	ctx := WithSpanLog(context.Background(), l)
-	ctx, root := StartSpan(ctx, "root")
-	for i := 0; i < DefaultMaxChildren+10; i++ {
-		_, c := StartSpan(ctx, "child")
-		c.End()
-	}
-	root.End()
-	v := l.Recent(1)[0]
-	if len(v.Children) != DefaultMaxChildren || v.DroppedChildren != 10 {
-		t.Fatalf("default cap: %d children, %d dropped", len(v.Children), v.DroppedChildren)
-	}
-}
 
 func TestHistogramQuantileEmpty(t *testing.T) {
 	h := NewHistogram(nil)

@@ -117,65 +117,6 @@ func TestSnapshotJSONShape(t *testing.T) {
 	}
 }
 
-func TestSpanTreeRecording(t *testing.T) {
-	log := NewSpanLog(4)
-	ctx := WithSpanLog(context.Background(), log)
-	ctx, root := StartSpan(ctx, "http /v1/trace")
-	root.SetAttr("request_id", "abc123")
-	cctx, child := StartSpan(ctx, "job.trace")
-	_, grand := StartSpan(cctx, "tracer.trace")
-	grand.End()
-	child.End()
-	root.End()
-
-	views := log.Recent(10)
-	if len(views) != 1 {
-		t.Fatalf("recent = %d traces", len(views))
-	}
-	v := views[0]
-	if v.Name != "http /v1/trace" || v.Attrs["request_id"] != "abc123" {
-		t.Fatalf("root = %+v", v)
-	}
-	if len(v.Children) != 1 || v.Children[0].Name != "job.trace" {
-		t.Fatalf("children = %+v", v.Children)
-	}
-	if len(v.Children[0].Children) != 1 || v.Children[0].Children[0].Name != "tracer.trace" {
-		t.Fatalf("grandchildren = %+v", v.Children[0].Children)
-	}
-}
-
-func TestSpanDisabledWithoutLog(t *testing.T) {
-	ctx, s := StartSpan(context.Background(), "anything")
-	if s != nil {
-		t.Fatal("span created without a SpanLog")
-	}
-	// All operations on the nil span are no-ops.
-	s.SetAttr("k", "v")
-	s.End()
-	if ctx == nil {
-		t.Fatal("ctx lost")
-	}
-}
-
-func TestSpanLogRingEviction(t *testing.T) {
-	log := NewSpanLog(2)
-	for i := 0; i < 5; i++ {
-		ctx := WithSpanLog(context.Background(), log)
-		_, s := StartSpan(ctx, fmt.Sprintf("span-%d", i))
-		s.End()
-	}
-	views := log.Recent(0)
-	if len(views) != 2 {
-		t.Fatalf("retained %d, want 2", len(views))
-	}
-	if views[0].Name != "span-4" || views[1].Name != "span-3" {
-		t.Fatalf("order = %s, %s", views[0].Name, views[1].Name)
-	}
-	if log.Total() != 5 {
-		t.Fatalf("total = %d", log.Total())
-	}
-}
-
 func TestRequestIDPropagation(t *testing.T) {
 	id := NewRequestID()
 	if len(id) != 16 {
@@ -211,7 +152,6 @@ func TestLogfLogger(t *testing.T) {
 
 func TestConcurrentInstrumentUse(t *testing.T) {
 	r := NewRegistry()
-	log := NewSpanLog(16)
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
@@ -222,11 +162,6 @@ func TestConcurrentInstrumentUse(t *testing.T) {
 			for i := 0; i < 200; i++ {
 				c.Inc()
 				h.Observe(float64(i) / 1000)
-				ctx := WithSpanLog(context.Background(), log)
-				ctx, s := StartSpan(ctx, "op")
-				_, cs := StartSpan(ctx, "child")
-				cs.End()
-				s.End()
 			}
 		}(g)
 	}
@@ -237,7 +172,6 @@ func TestConcurrentInstrumentUse(t *testing.T) {
 			var b strings.Builder
 			r.WritePrometheus(&b)
 			_ = r.Snapshot()
-			_ = log.Recent(8)
 			time.Sleep(time.Millisecond)
 		}
 		close(done)

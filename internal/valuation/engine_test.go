@@ -50,6 +50,24 @@ func TestOracleRejectsAliasingMask(t *testing.T) {
 	}
 }
 
+// TestUtilityCacheHitZeroAlloc pins the memo's hot path: serving a cached
+// utility — what every scheme does thousands of times per run — allocates
+// nothing.
+func TestUtilityCacheHitZeroAlloc(t *testing.T) {
+	o := newSyntheticOracle(8, syntheticUtility)
+	const mask = uint64(0b1011)
+	if _, err := o.Utility(mask); err != nil { // fill the cache
+		t.Fatal(err)
+	}
+	if n := testing.AllocsPerRun(200, func() {
+		if _, err := o.Utility(mask); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 0 {
+		t.Fatalf("cache-hit Utility allocates %v/op, want 0", n)
+	}
+}
+
 func TestFullMask64(t *testing.T) {
 	if got := fullMask(64); got != ^uint64(0) {
 		t.Fatalf("fullMask(64) = %#x", got)

@@ -1,7 +1,8 @@
 // Command metricsmoke is the check.sh observability smoke test: it boots a
 // ctflsrv binary on an ephemeral port, scrapes GET /metrics, verifies every
-// required metric family is exposed, checks /v1/traces/recent records the
-// scrape itself, and shuts the server down gracefully via SIGTERM.
+// required metric family is exposed, checks /v1/events records a request
+// under the X-Request-Id it was sent with, and shuts the server down
+// gracefully via SIGTERM.
 //
 // Usage: metricsmoke -bin ./path/to/ctflsrv
 package main
@@ -80,12 +81,13 @@ func main() {
 	go io.Copy(io.Discard, stderr) // keep the pipe drained
 
 	base := "http://" + addr
-	body := get(base + "/healthz")
+	const reqID = "metricsmoke-healthz"
+	body := get(base+"/healthz", reqID)
 	if !strings.Contains(body, `"ok":true`) {
 		fatalf("metricsmoke: /healthz not ok: %s", body)
 	}
 
-	metrics := get(base + "/metrics")
+	metrics := get(base+"/metrics", "")
 	var missing []string
 	for _, name := range requiredFamilies {
 		if !strings.Contains(metrics, name) {
@@ -97,23 +99,17 @@ func main() {
 	}
 	fmt.Printf("metricsmoke: /metrics exposes all %d required families\n", len(requiredFamilies))
 
-	traces := get(base + "/v1/traces/recent")
-	if !strings.Contains(traces, "http /healthz") && !strings.Contains(traces, "http /metrics") {
-		fatalf("metricsmoke: /v1/traces/recent recorded no request spans: %s", traces)
+	events := get(base+"/v1/events", "")
+	if !strings.Contains(events, `"route":"/healthz","method":"GET","request_id":"`+reqID+`"`) {
+		fatalf("metricsmoke: /v1/events has no /healthz event under request id %s: %s", reqID, events)
 	}
-	fmt.Println("metricsmoke: /v1/traces/recent records request spans")
+	fmt.Println("metricsmoke: /v1/events records requests under their X-Request-Id")
 
-	events := get(base + "/v1/events")
-	if !strings.Contains(events, `"route":"/healthz"`) {
-		fatalf("metricsmoke: /v1/events recorded no request events: %s", events)
-	}
-	fmt.Println("metricsmoke: /v1/events records flight events")
-
-	version := get(base + "/v1/version")
+	version := get(base+"/v1/version", "")
 	if !strings.Contains(version, `"go_version"`) {
 		fatalf("metricsmoke: /v1/version lacks build identity: %s", version)
 	}
-	bundle := get(base + "/v1/debug/bundle")
+	bundle := get(base+"/v1/debug/bundle", "")
 	if !strings.Contains(bundle, `"slo"`) || !strings.Contains(bundle, `"events"`) {
 		fatalf("metricsmoke: /v1/debug/bundle incomplete")
 	}
@@ -169,8 +165,16 @@ func awaitListening(r io.Reader, timeout time.Duration) (addr, tail string, err 
 	}
 }
 
-func get(url string) string {
-	resp, err := http.Get(url)
+// get fetches url, sending reqID as X-Request-Id when it is not empty.
+func get(url, reqID string) string {
+	req, err := http.NewRequest(http.MethodGet, url, nil)
+	if err != nil {
+		fatalf("metricsmoke: GET %s: %v", url, err)
+	}
+	if reqID != "" {
+		req.Header.Set("X-Request-Id", reqID)
+	}
+	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
 		fatalf("metricsmoke: GET %s: %v", url, err)
 	}
