@@ -5,7 +5,7 @@
 //	ctflsrv [-addr :8080] [-data-dir /var/lib/ctflsrv] [-workers 4]
 //	        [-max-body 67108864] [-compact-bytes 8388608] [-no-sync]
 //	        [-pprof] [-log-json] [-drain-timeout 30s]
-//	        [-job-retries 3] [-degraded-threshold 3] [-probe-interval 1s]
+//	        [-degraded-threshold 3] [-probe-interval 1s]
 //	        [-retry-after 1s] [-read-timeout 5m] [-write-timeout 10m]
 //	        [-idle-timeout 2m] [-round-epsilon 0.001]
 //	        [-round-perms 0] [-round-seed 1] [-round-workers 0]
@@ -31,13 +31,14 @@
 // in-flight HTTP requests and queued trace jobs finish, a final state
 // snapshot is written, and only then does the process exit.
 //
-// Fault tolerance: failed trace jobs are retried up to -job-retries times
-// with exponential backoff (panicking jobs are quarantined instead, never
-// retried). After -degraded-threshold consecutive WAL append failures the
-// service enters degraded mode — reads and traces keep working, writes
-// answer 503 with a Retry-After of -retry-after — and probes the WAL at
-// most every -probe-interval until an append succeeds, then recovers
-// automatically.
+// Fault tolerance: a failed trace job is reported failed and never cached,
+// so a client resubmission reruns it (server.Client.Trace does this within
+// its retry budget); a panicking job is quarantined and counted in
+// ctfl_jobs_quarantined_total. After -degraded-threshold consecutive WAL
+// append failures the service enters degraded mode — reads and traces keep
+// working, writes answer 503 with a Retry-After of -retry-after — and
+// probes the WAL at most every -probe-interval until an append succeeds,
+// then recovers automatically.
 //
 // Lifecycle (see internal/server for payload formats):
 //
@@ -52,11 +53,11 @@
 //	POST /v1/trace         submit a test set (CSV) → async job (?wait= to block)
 //	GET  /v1/trace/{id}    poll a trace job
 //	GET  /v1/rules         inspect the extracted rules
-//	GET  /v1/stats         observability counters + telemetry snapshot
 //	GET  /v1/events        flight-recorder wide events (JSON or binary)
-//	GET  /v1/debug/bundle  one-shot incident capture
+//	GET  /v1/debug/bundle  one-shot incident capture: state, SLOs, events
+//	                       and every metric as JSON
 //	GET  /v1/version       build identity
-//	GET  /metrics          Prometheus text exposition
+//	GET  /metrics          every metric as Prometheus text exposition
 //	GET  /healthz          liveness and state summary
 //
 // -pprof mounts net/http/pprof under /debug/pprof/ on the same listener.
@@ -79,7 +80,6 @@ import (
 	"syscall"
 	"time"
 
-	"repro/internal/jobs"
 	"repro/internal/rounds"
 	"repro/internal/server"
 )
@@ -103,7 +103,6 @@ func main() {
 	maxBody := flag.Int64("max-body", 64<<20, "max POST body bytes before 413")
 	compactBytes := flag.Int64("compact-bytes", 8<<20, "WAL size triggering snapshot compaction")
 	noSync := flag.Bool("no-sync", false, "skip per-append WAL fsync (faster, less durable)")
-	jobRetries := flag.Int("job-retries", 3, "max attempts per trace job (1 = no retries; panics always quarantine)")
 	degradedThreshold := flag.Int("degraded-threshold", 3, "consecutive WAL failures before degraded mode")
 	probeInterval := flag.Duration("probe-interval", time.Second, "min interval between degraded-mode recovery probes")
 	retryAfter := flag.Duration("retry-after", time.Second, "Retry-After hint on 503 write rejections")
@@ -155,7 +154,6 @@ func main() {
 		CompactBytes:      *compactBytes,
 		NoSync:            *noSync,
 		Logger:            logger,
-		JobRetry:          jobs.RetryPolicy{MaxAttempts: *jobRetries},
 		DegradedThreshold: *degradedThreshold,
 		ProbeInterval:     *probeInterval,
 		RetryAfter:        *retryAfter,

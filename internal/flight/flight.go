@@ -151,12 +151,15 @@ type Event struct {
 	// BytesIn / BytesOut are request/response body sizes where known.
 	BytesIn  int64
 	BytesOut int64
-	// Retries counts re-runs absorbed by the unit (job attempts beyond
-	// the first); Faults counts injected faults it observed.
+	// Retries counts re-runs absorbed by the unit. The server runs every
+	// unit once (clients resubmit failed work), so it records 0; the field
+	// stays part of the type-7 wire format. Faults counts injected faults
+	// the unit observed.
 	Retries int32
 	Faults  int32
-	// Aux is kind-specific detail: the round number for KindRound events,
-	// consecutive WAL failures for KindWAL, otherwise 0.
+	// Aux is kind-specific detail: the round number for KindRound and
+	// KindGate events, consecutive WAL failures for KindWAL, 1 for a
+	// quarantined KindJob, a record count or cursor for KindCluster.
 	Aux int64
 	// CacheHit marks work served from a result cache.
 	CacheHit bool

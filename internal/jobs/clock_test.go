@@ -74,10 +74,16 @@ func TestInjectedClockTimings(t *testing.T) {
 		t.Errorf("run histogram count=%d sum=%v, want count=1 sum=1", run.Count, run.Sum)
 	}
 
-	mv := e.MetricsView()
-	for k, want := range map[string]int64{"submitted": 1, "done": 1, "queued": 0, "running": 0, "failed": 0} {
-		if mv[k] != want {
-			t.Errorf("MetricsView[%q] = %d, want %d", k, mv[k], want)
+	snap := reg.Snapshot()
+	for name, want := range map[string]any{
+		"ctfl_jobs_submitted_total": int64(1),
+		"ctfl_jobs_done_total":      int64(1),
+		"ctfl_jobs_failed_total":    int64(0),
+		"ctfl_jobs_queue_depth":     0.0,
+		"ctfl_jobs_running":         0.0,
+	} {
+		if snap[name] != want {
+			t.Errorf("%s = %v, want %v", name, snap[name], want)
 		}
 	}
 }

@@ -45,8 +45,8 @@ var ErrQueueFull = errors.New("jobs: submission queue full")
 var ErrClosed = errors.New("jobs: engine closed")
 
 // PanicError marks a job that panicked. Panics are treated as poison — the
-// job is quarantined, never retried — because a deterministic computation
-// that panicked once will panic again, and retrying it only burns workers.
+// job is quarantined (View.Quarantined, ctfl_jobs_quarantined_total) —
+// because a deterministic computation that panicked once will panic again.
 type PanicError struct {
 	// Value is what the job passed to panic.
 	Value any
@@ -69,7 +69,6 @@ type Job struct {
 	result      any
 	err         error
 	cacheHit    bool
-	attempts    int
 	quarantined bool
 	enqueued    time.Time
 	started     time.Time
@@ -93,10 +92,7 @@ type View struct {
 	Result   any
 	Err      error
 	CacheHit bool
-	// Attempts is how many times the job function ran (1 unless retried).
-	Attempts int
-	// Quarantined marks a poison job: it panicked and was moved to the
-	// dead-letter list instead of being retried.
+	// Quarantined marks a poison job: its function panicked.
 	Quarantined bool
 	Enqueued    time.Time
 	Started     time.Time
@@ -109,47 +105,9 @@ func (j *Job) Snapshot() View {
 	defer j.mu.Unlock()
 	return View{
 		ID: j.id, Key: j.key, Status: j.status, Result: j.result, Err: j.err,
-		CacheHit: j.cacheHit, Attempts: j.attempts, Quarantined: j.quarantined,
+		CacheHit: j.cacheHit, Quarantined: j.quarantined,
 		Enqueued: j.enqueued, Started: j.started, Finished: j.finished,
 	}
-}
-
-// RetryPolicy governs re-running failed jobs. The zero value means no
-// retries (each job runs once), preserving pre-policy behaviour.
-type RetryPolicy struct {
-	// MaxAttempts caps total runs of one job (first try included). Values
-	// below 1 mean 1.
-	MaxAttempts int
-	// BaseBackoff is the pause before the first retry; each further retry
-	// doubles it. Default 10ms.
-	BaseBackoff time.Duration
-	// MaxBackoff caps the doubling. Default 1s.
-	MaxBackoff time.Duration
-}
-
-func (p RetryPolicy) withDefaults() RetryPolicy {
-	if p.MaxAttempts < 1 {
-		p.MaxAttempts = 1
-	}
-	if p.BaseBackoff <= 0 {
-		p.BaseBackoff = 10 * time.Millisecond
-	}
-	if p.MaxBackoff <= 0 {
-		p.MaxBackoff = time.Second
-	}
-	return p
-}
-
-// backoff is the pause before retry number n (n starts at 1).
-func (p RetryPolicy) backoff(n int) time.Duration {
-	d := p.BaseBackoff
-	for i := 1; i < n; i++ {
-		d *= 2
-		if d >= p.MaxBackoff {
-			return p.MaxBackoff
-		}
-	}
-	return min(d, p.MaxBackoff)
 }
 
 // Config tunes an Engine.
@@ -166,16 +124,11 @@ type Config struct {
 	// RetainJobs bounds how many terminal jobs stay queryable by id beyond
 	// those in the cache. Default 512.
 	RetainJobs int
-	// Retry re-runs failed jobs (panics excepted — those are quarantined).
-	// The zero value disables retries.
-	Retry RetryPolicy
-	// DeadLetterSize bounds the quarantine list of poison jobs. Default 64.
-	DeadLetterSize int
 	// Faults injects failures at FaultRun inside the protected run, for
 	// resilience testing. Nil (the production default) disables injection.
 	Faults *faults.Injector
 	// Obs receives engine telemetry. Nil uses a private, unregistered
-	// instrument set, so MetricsView always works.
+	// instrument set.
 	Obs *Obs
 	// Now is the engine's clock for job timestamps (enqueued/started/
 	// finished and the derived wait/run histograms). Nil means time.Now;
@@ -205,10 +158,6 @@ func (c Config) withDefaults() Config {
 	if c.RetainJobs <= 0 {
 		c.RetainJobs = 512
 	}
-	c.Retry = c.Retry.withDefaults()
-	if c.DeadLetterSize <= 0 {
-		c.DeadLetterSize = 64
-	}
 	if c.Obs == nil {
 		c.Obs = NewObs(telemetry.NewRegistry())
 	}
@@ -228,9 +177,7 @@ type Obs struct {
 	CacheHits    *telemetry.Counter
 	CacheLookups *telemetry.Counter
 	Rejected     *telemetry.Counter
-	// Retries counts re-runs of failed jobs; Quarantined counts poison
-	// (panicking) jobs moved to the dead-letter list.
-	Retries     *telemetry.Counter
+	// Quarantined counts poison (panicking) jobs.
 	Quarantined *telemetry.Counter
 	QueueDepth  *telemetry.Gauge
 	Running     *telemetry.Gauge
@@ -250,8 +197,7 @@ func NewObs(r *telemetry.Registry) *Obs {
 		CacheHits:    r.Counter("ctfl_jobs_cache_hits_total", "submissions served by the result cache"),
 		CacheLookups: r.Counter("ctfl_jobs_cache_lookups_total", "submissions that consulted the result cache"),
 		Rejected:     r.Counter("ctfl_jobs_rejected_total", "submissions rejected by queue backpressure"),
-		Retries:      r.Counter("ctfl_jobs_retries_total", "re-runs of failed jobs under the retry policy"),
-		Quarantined:  r.Counter("ctfl_jobs_quarantined_total", "poison jobs moved to the dead-letter list"),
+		Quarantined:  r.Counter("ctfl_jobs_quarantined_total", "poison jobs: the job function panicked"),
 		QueueDepth:   r.Gauge("ctfl_jobs_queue_depth", "jobs waiting for a worker"),
 		Running:      r.Gauge("ctfl_jobs_running", "jobs currently executing"),
 		WaitSeconds:  r.Histogram("ctfl_jobs_wait_seconds", "queue wait time before execution", nil),
@@ -270,14 +216,13 @@ type Engine struct {
 	queue  chan *Job
 	wg     sync.WaitGroup
 
-	mu          sync.Mutex
-	closed      bool
-	seq         uint64
-	jobs        map[string]*Job // by id, bounded by RetainJobs + live jobs
-	jobOrder    []string        // terminal job ids, eviction order
-	cache       map[string]*Job // by content key: in-flight or done jobs
-	cacheOrd    []string        // done-job keys, eviction order
-	deadLetters []*Job          // quarantined poison jobs, bounded FIFO
+	mu       sync.Mutex
+	closed   bool
+	seq      uint64
+	jobs     map[string]*Job // by id, bounded by RetainJobs + live jobs
+	jobOrder []string        // terminal job ids, eviction order
+	cache    map[string]*Job // by content key: in-flight or done jobs
+	cacheOrd []string        // done-job keys, eviction order
 }
 
 // New starts an engine with cfg's worker pool.
@@ -299,33 +244,6 @@ func New(cfg Config) *Engine {
 		go e.worker()
 	}
 	return e
-}
-
-// MetricsView reads the engine's counters.
-func (e *Engine) MetricsView() map[string]int64 {
-	return map[string]int64{
-		"submitted":   e.obs.Submitted.Value(),
-		"queued":      int64(e.obs.QueueDepth.Value()),
-		"running":     int64(e.obs.Running.Value()),
-		"done":        e.obs.Done.Value(),
-		"failed":      e.obs.Failed.Value(),
-		"cache_hits":  e.obs.CacheHits.Value(),
-		"rejected":    e.obs.Rejected.Value(),
-		"retries":     e.obs.Retries.Value(),
-		"quarantined": e.obs.Quarantined.Value(),
-	}
-}
-
-// DeadLetters snapshots the quarantine list: poison jobs that panicked and
-// were pulled out of circulation, oldest first.
-func (e *Engine) DeadLetters() []View {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	out := make([]View, len(e.deadLetters))
-	for i, j := range e.deadLetters {
-		out[i] = j.Snapshot()
-	}
-	return out
 }
 
 // Submit enqueues fn under a content key. If a completed job with the same
@@ -415,45 +333,15 @@ func (e *Engine) run(j *Job) {
 	e.obs.Running.Add(1)
 	e.obs.WaitSeconds.Observe(wait.Seconds())
 
-	var (
-		result      any
-		err         error
-		attempts    int
-		quarantined bool
-	)
-	for {
-		attempts++
-		ctx, cancel := context.WithTimeout(e.ctx, e.cfg.JobTimeout)
-		result, err = runProtected(ctx, e.cfg.Faults, fn)
-		cancel()
-		if err == nil {
-			break
-		}
-		// A panic is poison: deterministic work that panicked once will
-		// panic again, so quarantine instead of retrying.
-		var pe *PanicError
-		if errors.As(err, &pe) {
-			quarantined = true
-			break
-		}
-		// Context errors mean shutdown or the per-attempt timeout fired;
-		// retrying cannot help either.
-		if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) || e.ctx.Err() != nil {
-			break
-		}
-		if attempts >= e.cfg.Retry.MaxAttempts {
-			break
-		}
-		e.obs.Retries.Inc()
-		if !e.sleepBackoff(e.cfg.Retry.backoff(attempts)) {
-			break // engine shut down mid-backoff
-		}
-	}
+	ctx, cancel := context.WithTimeout(e.ctx, e.cfg.JobTimeout)
+	result, err := runProtected(ctx, e.cfg.Faults, fn)
+	cancel()
+	var pe *PanicError
+	quarantined := errors.As(err, &pe)
 
 	j.mu.Lock()
 	j.finished = e.now()
 	run := j.finished.Sub(j.started)
-	j.attempts = attempts
 	j.quarantined = quarantined
 	if err != nil {
 		j.status = StatusFailed
@@ -472,36 +360,12 @@ func (e *Engine) run(j *Job) {
 	}
 	if quarantined {
 		e.obs.Quarantined.Inc()
-		e.quarantine(j)
 	}
 	if e.cfg.OnFinish != nil {
 		e.cfg.OnFinish(j.Snapshot())
 	}
 	close(j.done)
 	e.retire(j, err == nil)
-}
-
-// sleepBackoff pauses between retry attempts, returning false if the engine
-// shut down first.
-func (e *Engine) sleepBackoff(d time.Duration) bool {
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-t.C:
-		return true
-	case <-e.ctx.Done():
-		return false
-	}
-}
-
-// quarantine records a poison job on the bounded dead-letter list.
-func (e *Engine) quarantine(j *Job) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	e.deadLetters = append(e.deadLetters, j)
-	if over := len(e.deadLetters) - e.cfg.DeadLetterSize; over > 0 {
-		e.deadLetters = append(e.deadLetters[:0], e.deadLetters[over:]...)
-	}
 }
 
 // runProtected converts a panicking job into a failed one carrying a

@@ -50,8 +50,8 @@ func TestFailedJobStatus(t *testing.T) {
 	if v.Status != StatusFailed || !errors.Is(v.Err, boom) {
 		t.Fatalf("view = %+v", v)
 	}
-	if e.MetricsView()["failed"] != 1 {
-		t.Fatalf("metrics = %v", e.MetricsView())
+	if got := e.obs.Failed.Value(); got != 1 {
+		t.Fatalf("failed counter = %d, want 1", got)
 	}
 }
 
@@ -90,8 +90,8 @@ func TestContentCacheRunsOnce(t *testing.T) {
 	if runs.Load() != 1 {
 		t.Fatalf("fn ran %d times", runs.Load())
 	}
-	if e.MetricsView()["cache_hits"] != 1 {
-		t.Fatalf("metrics = %v", e.MetricsView())
+	if got := e.obs.CacheHits.Value(); got != 1 {
+		t.Fatalf("cache hit counter = %d, want 1", got)
 	}
 }
 
@@ -144,7 +144,7 @@ func TestQueueFullBackpressure(t *testing.T) {
 	if !errors.Is(err, ErrQueueFull) {
 		t.Fatalf("err = %v, want ErrQueueFull", err)
 	}
-	if e.MetricsView()["rejected"] == 0 {
+	if e.obs.Rejected.Value() == 0 {
 		t.Fatal("rejected counter not bumped")
 	}
 	close(release)
@@ -254,8 +254,7 @@ func TestConcurrentSubmitsRace(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
-	m := e.MetricsView()
-	if m["running"] != 0 || m["queued"] != 0 {
-		t.Fatalf("gauges nonzero after drain: %v", m)
+	if running, queued := e.obs.Running.Value(), e.obs.QueueDepth.Value(); running != 0 || queued != 0 {
+		t.Fatalf("gauges nonzero after drain: running %v, queued %v", running, queued)
 	}
 }

@@ -7,8 +7,6 @@ package nn
 import (
 	"math/rand"
 	"testing"
-
-	"repro/internal/telemetry"
 )
 
 // benchData plants the rule label = (x0 ∧ x1) ∨ x2 over random binary
@@ -52,24 +50,6 @@ func BenchmarkTrainEpochs(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
 		m := benchModel(b, 80)
-		b.StartTimer()
-		m.TrainEpochs(xs, ys, 3)
-	}
-}
-
-// BenchmarkTrainEpochsObserved is BenchmarkTrainEpochs with per-epoch
-// telemetry hooks installed, so BENCH_*.json pins the observation overhead
-// (one selection-mask scan + histogram update per epoch) against the plain
-// run.
-func BenchmarkTrainEpochsObserved(b *testing.B) {
-	xs, ys := benchData(2000, 80, 1)
-	reg := telemetry.NewRegistry()
-	hooks := TrainTelemetry(reg)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		b.StopTimer()
-		m := benchModel(b, 80)
-		m.SetTrainHooks(hooks)
 		b.StartTimer()
 		m.TrainEpochs(xs, ys, 3)
 	}

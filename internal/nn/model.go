@@ -154,10 +154,6 @@ type Model struct {
 	// only on the (immutable) model shape, so pooled entries never go stale.
 	bufPool  sync.Pool
 	gradPool sync.Pool
-
-	// hooks observes training per epoch; nil (the default) keeps the
-	// training loop free of any telemetry work. See SetTrainHooks.
-	hooks *TrainHooks
 }
 
 // New creates a model for inputs of width inDim using cfg.

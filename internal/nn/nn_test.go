@@ -306,6 +306,42 @@ func TestTrainingReducesLoss(t *testing.T) {
 	}
 }
 
+// TestTrainInnerLoopZeroAlloc pins the training hot loop at zero
+// allocations per batch: one batchGrad + stepFused round must not allocate
+// once scratch pools are warm.
+func TestTrainInnerLoopZeroAlloc(t *testing.T) {
+	xs, ys := benchData(256, 40, 4)
+	m, err := New(40, Config{
+		Hidden: []int{32}, Grafting: true, Seed: 3,
+		L1Logic: 2e-4, L2Head: 1e-3, Workers: 1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	grad := make([]float64, m.numParams())
+	gbs := []*gradBuffers{m.getGradBuffers()}
+	defer m.putGradBuffers(gbs[0])
+	losses := make([]float64, 1)
+	batch := make([]int, 32)
+	for i := range batch {
+		batch[i] = i
+	}
+
+	// Warm the pools and the discrete compilation cache.
+	for i := 0; i < 3; i++ {
+		m.batchGrad(xs, ys, batch, gbs, losses, grad)
+		m.stepFused(grad)
+	}
+	allocs := testing.AllocsPerRun(20, func() {
+		m.batchGrad(xs, ys, batch, gbs, losses, grad)
+		m.stepFused(grad)
+	})
+	if allocs != 0 {
+		t.Fatalf("training inner loop allocates %.1f times per batch, want 0", allocs)
+	}
+}
+
 func TestTrainEmptyAndMismatched(t *testing.T) {
 	m, _ := New(3, Config{Hidden: []int{4}})
 	if got := m.TrainEpochs(nil, nil, 5); got != 0 {

@@ -6,7 +6,6 @@ import (
 	"math/rand"
 	"runtime"
 	"sync"
-	"time"
 )
 
 // adamState carries the Adam optimizer moments over the flattened parameters.
@@ -444,23 +443,10 @@ func (m *Model) TrainEpochs(xs [][]float64, ys []int, epochs int) float64 {
 		idx[i] = i
 	}
 
-	// Epoch observation state, allocated only when hooks are installed so
-	// the unobserved path stays allocation-free.
-	hooks := m.hooks
-	var selMask []bool
-	if hooks != nil && hooks.OnEpoch != nil {
-		selMask = make([]bool, m.headOff)
-		m.selectionMask(selMask, true)
-	}
-
 	lastLoss := 0.0
 	bestAcc := -1.0
 	var bestParams []float64
 	for ep := 0; ep < epochs; ep++ {
-		var epStart time.Time
-		if selMask != nil {
-			epStart = time.Now()
-		}
 		r.Shuffle(len(idx), func(i, j int) { idx[i], idx[j] = idx[j], idx[i] })
 		epochLoss := 0.0
 		for start := 0; start < len(idx); start += m.cfg.BatchSize {
@@ -479,16 +465,6 @@ func (m *Model) TrainEpochs(xs [][]float64, ys []int, epochs int) float64 {
 				bestAcc = acc
 				bestParams = m.Params()
 			}
-		}
-		if selMask != nil {
-			selected, switches := m.selectionMask(selMask, false)
-			hooks.OnEpoch(EpochStats{
-				Epoch:           ep + 1,
-				Loss:            lastLoss,
-				Elapsed:         time.Since(epStart),
-				SelectedWeights: selected,
-				GraftSwitches:   switches,
-			})
 		}
 	}
 	if bestParams != nil {

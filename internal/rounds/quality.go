@@ -7,7 +7,7 @@ package rounds
 // (arXiv 2509.19921) shows scores silently drift under perturbation, and
 // FedRandom (arXiv 2602.05693) shows sampling-based estimators carry
 // run-to-run variance that must be surfaced, not hidden. The engine
-// therefore tracks, per applied outcome:
+// therefore sets four Obs gauges per applied outcome:
 //
 //   - score drift: the largest per-participant cumulative-score change
 //     over a trailing window of applied outcomes — a converged stream
@@ -32,51 +32,23 @@ import "math"
 // confidence half-width.
 const confidenceZ = 1.96
 
-// QualitySnapshot is the JSON shape of the engine's score-quality state
-// (merged into /v1/stats and the debug bundle).
-type QualitySnapshot struct {
-	// Window is the configured drift window; Filled is how many applied
-	// outcomes it currently holds.
-	Window int `json:"window"`
-	Filled int `json:"filled"`
-	// Drift is the max-abs per-participant cumulative-score change across
-	// the window (newest snapshot vs oldest).
-	Drift float64 `json:"drift"`
-	// TruncationRate is truncated walks / permutations for the last
-	// live-scored round.
-	TruncationRate float64 `json:"truncation_rate"`
-	// SamplingVariance is the worst per-participant sampling variance of
-	// the last live-scored round's estimates.
-	SamplingVariance float64 `json:"sampling_variance"`
-	// ConfidenceWidth is the 95% confidence half-width for that worst
-	// participant's score delta.
-	ConfidenceWidth float64 `json:"confidence_width"`
-}
-
-// qualityState is the engine's trailing drift window plus the last scored
-// round's sampling diagnostics. Guarded by Engine.mu.
-type qualityState struct {
-	window [][]float64 // trailing score snapshots, oldest first
-	snap   QualitySnapshot
-}
-
-// updateQualityLocked folds one applied outcome into the quality state
-// and refreshes the gauges. Caller holds e.mu.
+// updateQualityLocked folds one applied outcome into the drift window and
+// sets the quality gauges. The sampling gauges keep the last live-scored
+// round's values across skipped and replayed outcomes. Caller holds e.mu.
 func (e *Engine) updateQualityLocked(out *Outcome) {
 	if e.cfg.QualityWindow < 0 {
 		return
 	}
-	q := &e.quality
 	scores := make([]float64, len(e.scores))
 	copy(scores, e.scores)
-	q.window = append(q.window, scores)
-	if len(q.window) > e.cfg.QualityWindow {
-		q.window = append(q.window[:0], q.window[len(q.window)-e.cfg.QualityWindow:]...)
+	e.driftWindow = append(e.driftWindow, scores)
+	if len(e.driftWindow) > e.cfg.QualityWindow {
+		e.driftWindow = append(e.driftWindow[:0], e.driftWindow[len(e.driftWindow)-e.cfg.QualityWindow:]...)
 	}
 
 	drift := 0.0
-	if len(q.window) >= 2 {
-		oldest := q.window[0]
+	if len(e.driftWindow) >= 2 {
+		oldest := e.driftWindow[0]
 		for id, cur := range scores {
 			old := 0.0
 			if id < len(oldest) {
@@ -87,29 +59,16 @@ func (e *Engine) updateQualityLocked(out *Outcome) {
 			}
 		}
 	}
-	q.snap.Window = e.cfg.QualityWindow
-	q.snap.Filled = len(q.window)
-	q.snap.Drift = drift
+	e.obs.ScoreDrift.Set(drift)
 	if !out.Skipped && out.Permutations > 0 {
-		q.snap.TruncationRate = float64(out.Truncated) / float64(out.Permutations)
 		maxVar := 0.0
 		for _, v := range out.Variance {
 			if v > maxVar {
 				maxVar = v
 			}
 		}
-		q.snap.SamplingVariance = maxVar
-		q.snap.ConfidenceWidth = confidenceZ * math.Sqrt(maxVar/float64(out.Permutations))
+		e.obs.TruncationRate.Set(float64(out.Truncated) / float64(out.Permutations))
+		e.obs.SamplingVariance.Set(maxVar)
+		e.obs.ConfidenceWidth.Set(confidenceZ * math.Sqrt(maxVar/float64(out.Permutations)))
 	}
-	e.obs.ScoreDrift.Set(q.snap.Drift)
-	e.obs.TruncationRate.Set(q.snap.TruncationRate)
-	e.obs.SamplingVariance.Set(q.snap.SamplingVariance)
-	e.obs.ConfidenceWidth.Set(q.snap.ConfidenceWidth)
-}
-
-// Quality returns the current score-quality snapshot.
-func (e *Engine) Quality() QualitySnapshot {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.quality.snap
 }

@@ -18,38 +18,34 @@ func TestQualityInstruments(t *testing.T) {
 		Seed: 9, Permutations: 12, Epsilon: -1, Obs: obs, QualityWindow: 4,
 	})
 
-	q := e.Quality()
-	if q.Window != 4 {
-		t.Fatalf("window = %d, want 4", q.Window)
+	if n := len(e.driftWindow); n != 4 {
+		t.Fatalf("drift window holds %d snapshots after 8 rounds with window 4", n)
 	}
-	if q.Filled != 4 {
-		t.Fatalf("filled = %d after 8 rounds with window 4", q.Filled)
+	snap := reg.Snapshot()
+	drift, _ := snap["ctfl_rounds_score_drift"].(float64)
+	trunc, _ := snap["ctfl_rounds_truncation_rate"].(float64)
+	variance, _ := snap["ctfl_rounds_sampling_variance"].(float64)
+	width, _ := snap["ctfl_rounds_confidence_width"].(float64)
+	if drift <= 0 {
+		t.Fatalf("drift = %v for a still-moving stream", drift)
 	}
-	if q.Drift <= 0 {
-		t.Fatalf("drift = %v for a still-moving stream", q.Drift)
+	if trunc < 0 || trunc > 1 {
+		t.Fatalf("truncation rate = %v", trunc)
 	}
-	if q.TruncationRate < 0 || q.TruncationRate > 1 {
-		t.Fatalf("truncation rate = %v", q.TruncationRate)
-	}
-	if q.SamplingVariance < 0 || q.ConfidenceWidth < 0 {
-		t.Fatalf("negative quality values: %+v", q)
+	if variance < 0 || width < 0 {
+		t.Fatalf("negative quality values: variance %v, width %v", variance, width)
 	}
 	// A sampled estimate over a non-trivial game carries real spread.
-	if q.SamplingVariance == 0 || q.ConfidenceWidth == 0 {
-		t.Fatalf("sampling spread reported as exactly zero: %+v", q)
+	if variance == 0 || width == 0 {
+		t.Fatalf("sampling spread reported as exactly zero: variance %v, width %v", variance, width)
 	}
+}
 
-	snap := reg.Snapshot()
-	for name, want := range map[string]float64{
-		"ctfl_rounds_score_drift":       q.Drift,
-		"ctfl_rounds_truncation_rate":   q.TruncationRate,
-		"ctfl_rounds_sampling_variance": q.SamplingVariance,
-		"ctfl_rounds_confidence_width":  q.ConfidenceWidth,
-	} {
-		got, ok := snap[name].(float64)
-		if !ok || got != want {
-			t.Fatalf("gauge %s = %v, want %v", name, snap[name], want)
-		}
+// qualityGauges reads the four score-quality gauges.
+func qualityGauges(obs *Obs) [4]float64 {
+	return [4]float64{
+		obs.ScoreDrift.Value(), obs.TruncationRate.Value(),
+		obs.SamplingVariance.Value(), obs.ConfidenceWidth.Value(),
 	}
 }
 
@@ -58,9 +54,10 @@ func TestQualityDriftTracksTrailingWindow(t *testing.T) {
 		t.Skip("training test")
 	}
 	fix := fixture(t)
+	obs := NewObs(telemetry.NewRegistry())
 	e, err := New(Config{
 		Model: fix.sim.Model, EvalX: fix.evalX, EvalY: fix.evalY,
-		Seed: 9, Permutations: 8, Epsilon: -1, QualityWindow: 2,
+		Seed: 9, Permutations: 8, Epsilon: -1, QualityWindow: 2, Obs: obs,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -91,7 +88,7 @@ func TestQualityDriftTracksTrailingWindow(t *testing.T) {
 				want = d
 			}
 		}
-		if got := e.Quality().Drift; got != want {
+		if got := obs.ScoreDrift.Value(); got != want {
 			t.Fatalf("round %d drift = %v, want %v", round, got, want)
 		}
 		prev = before
@@ -107,12 +104,13 @@ func TestQualityDisabled(t *testing.T) {
 		t.Skip("training test")
 	}
 	fix := fixture(t)
+	obs := NewObs(telemetry.NewRegistry())
 	e := streamAll(t, fix, Config{
 		Model: fix.sim.Model, EvalX: fix.evalX, EvalY: fix.evalY,
-		Seed: 9, Permutations: 8, Epsilon: -1, QualityWindow: -1,
+		Seed: 9, Permutations: 8, Epsilon: -1, QualityWindow: -1, Obs: obs,
 	})
-	if q := e.Quality(); q != (QualitySnapshot{}) {
-		t.Fatalf("disabled quality tracked state: %+v", q)
+	if q := qualityGauges(obs); q != [4]float64{} || len(e.driftWindow) != 0 {
+		t.Fatalf("disabled quality tracked state: gauges %v, window %d", q, len(e.driftWindow))
 	}
 }
 
@@ -124,16 +122,18 @@ func TestQualityReplayRestartsCold(t *testing.T) {
 		t.Skip("training test")
 	}
 	fix := fixture(t)
+	liveObs := NewObs(telemetry.NewRegistry())
 	live := streamAll(t, fix, Config{
 		Model: fix.sim.Model, EvalX: fix.evalX, EvalY: fix.evalY,
-		Seed: 9, Permutations: 8, Epsilon: -1, QualityWindow: 4,
+		Seed: 9, Permutations: 8, Epsilon: -1, QualityWindow: 4, Obs: liveObs,
 	})
-	if live.Quality().SamplingVariance == 0 {
+	if liveObs.SamplingVariance.Value() == 0 {
 		t.Fatal("live engine has no sampling diagnostics to contrast with")
 	}
+	obs := NewObs(telemetry.NewRegistry())
 	replayed, err := New(Config{
 		Model: fix.sim.Model, EvalX: fix.evalX, EvalY: fix.evalY,
-		Seed: 9, Permutations: 8, Epsilon: -1, QualityWindow: 4,
+		Seed: 9, Permutations: 8, Epsilon: -1, QualityWindow: 4, Obs: obs,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -143,11 +143,11 @@ func TestQualityReplayRestartsCold(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	q := replayed.Quality()
-	if q.Filled != 4 || q.Drift != live.Quality().Drift {
-		t.Fatalf("replayed drift diverged: %+v vs %+v", q, live.Quality())
+	if n := len(replayed.driftWindow); n != 4 || obs.ScoreDrift.Value() != liveObs.ScoreDrift.Value() {
+		t.Fatalf("replayed drift diverged: window %d, drift %v vs %v",
+			n, obs.ScoreDrift.Value(), liveObs.ScoreDrift.Value())
 	}
-	if q.SamplingVariance != 0 || q.TruncationRate != 0 || q.ConfidenceWidth != 0 {
-		t.Fatalf("replayed engine claims sampling diagnostics it never computed: %+v", q)
+	if q := qualityGauges(obs); q[1] != 0 || q[2] != 0 || q[3] != 0 {
+		t.Fatalf("replayed engine claims sampling diagnostics it never computed: %v", q)
 	}
 }

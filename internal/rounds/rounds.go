@@ -117,18 +117,18 @@ type Engine struct {
 	emptyUtility float64
 	obs          *Obs
 
-	mu       sync.Mutex
-	rounds   int // high-water: last applied round + 1
-	skipped  int // rounds skipped by between-round truncation
-	applied  int // outcomes applied (distinguishes "no rounds yet" from gaps)
-	prevFull float64
-	scores   []float64 // cumulative contribution, indexed by participant id
-	payloads [][]byte  // applied outcome payloads, in order (compaction input)
-	updated  chan struct{}
-	lastTick time.Time
-	quality  qualityState
-	gated    []bool      // contribution-gate state, indexed by participant id
-	gateLog  []GateEvent // gate transitions, in application order
+	mu          sync.Mutex
+	rounds      int // high-water: last applied round + 1
+	skipped     int // rounds skipped by between-round truncation
+	applied     int // outcomes applied (distinguishes "no rounds yet" from gaps)
+	prevFull    float64
+	scores      []float64 // cumulative contribution, indexed by participant id
+	payloads    [][]byte  // applied outcome payloads, in order (compaction input)
+	updated     chan struct{}
+	lastTick    time.Time
+	driftWindow [][]float64 // trailing score snapshots the drift gauge spans, oldest first
+	gated       []bool      // contribution-gate state, indexed by participant id
+	gateLog     []GateEvent // gate transitions, in application order
 
 	evals      atomic.Int64
 	truncWalks atomic.Int64

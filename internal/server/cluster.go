@@ -132,7 +132,7 @@ func (s *Server) initCluster() error {
 // operator's curl or a monitor's scrape must reach any node directly.
 func clusterExempt(pattern string) bool {
 	switch pattern {
-	case "/healthz", "/metrics", "/v1/replicate", "/v1/stats", "/v1/events",
+	case "/healthz", "/metrics", "/v1/replicate", "/v1/events",
 		"/v1/version", "/v1/debug/bundle":
 		return true
 	}
@@ -326,15 +326,7 @@ func (s *Server) handleReplicate(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusForbidden, errors.New("not a follower"))
 		return
 	}
-	if seg.Reset {
-		// Full restatement: discard this incarnation's state and rebuild.
-		// The version counter survives so trace-cache keys stay unique.
-		v := s.st.version
-		s.st = state{version: v}
-		s.replApplied = 0
-		s.recordClusterEvent(flight.OutcomeDegraded, "cluster.reset",
-			fmt.Sprintf("rebuilding from %d-record restatement", seg.Count), int64(seg.Count))
-	} else if seg.StartSeq != s.replApplied {
+	if !seg.Reset && seg.StartSeq != s.replApplied {
 		writeJSON(w, http.StatusConflict, map[string]uint64{"have": s.replApplied})
 		return
 	}
@@ -345,6 +337,17 @@ func (s *Server) handleReplicate(w http.ResponseWriter, r *http.Request) {
 	if err := s.persistLocked(evs...); err != nil {
 		s.unavailable(w, err)
 		return
+	}
+	if seg.Reset {
+		// Full restatement, now durable: discard this incarnation's state
+		// and rebuild. Wiping only after the persist keeps a failed push
+		// free of side effects. The version counter survives so
+		// trace-cache keys stay unique.
+		v := s.st.version
+		s.st = state{version: v}
+		s.replApplied = 0
+		s.recordClusterEvent(flight.OutcomeDegraded, "cluster.reset",
+			fmt.Sprintf("rebuilding from %d-record restatement", seg.Count), int64(seg.Count))
 	}
 	for _, ev := range evs {
 		if err := s.applyEvent(ev); err != nil {
@@ -364,7 +367,7 @@ func (s *Server) handleReplicate(w http.ResponseWriter, r *http.Request) {
 		// Fold the rebuilt state into a snapshot so a follower restart
 		// replays to exactly this point, not through the pre-reset history.
 		if err := s.store.Compact(s.snapshotEventsLocked()); err != nil {
-			s.opts.Logf("server: replica reset compaction failed (continuing on wal): %v", err)
+			s.log.Warn("replica reset compaction failed, continuing on the wal", "err", err)
 		}
 	}
 	s.maybeCompactLocked()

@@ -13,6 +13,7 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/dataset"
+	"repro/internal/faults"
 	"repro/internal/protocol"
 	"repro/internal/rounds"
 	"repro/internal/stats"
@@ -49,7 +50,6 @@ func newListeners(t *testing.T, n int) ([]net.Listener, []string) {
 // pre-allocated listener.
 func startNode(t *testing.T, l net.Listener, url string, opts Options) *clusterNode {
 	t.Helper()
-	opts.Logf = t.Logf
 	s, err := NewWithOptions(opts)
 	if err != nil {
 		t.Fatal(err)
@@ -312,6 +312,65 @@ func TestReplicateCursorProtocol(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusForbidden {
 		t.Fatalf("non-follower push status = %d, want 403", resp.StatusCode)
+	}
+}
+
+// TestFailedResetPushKeepsFollowerState pins the fail-before-side-effect
+// rule on the follower's reset path: when the WAL append of a reset
+// restatement fails, the follower answers 503 and keeps serving the state
+// it had, and the leader's retry of the same push then applies cleanly.
+func TestFailedResetPushKeepsFollowerState(t *testing.T) {
+	dir := t.TempDir()
+	encJSON := cheapEncoderJSON(t)
+	st, _, err := store.Open(dir, store.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Append(store.Event{Type: store.EventEncoder, Payload: encJSON}); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	ls, urls := newListeners(t, 1)
+	n := startNode(t, ls[0], urls[0], Options{
+		DataDir:        dir,
+		LeaderURL:      "http://127.0.0.1:1", // never dialed: FollowInterval is huge
+		FollowInterval: time.Hour,
+		SLOInterval:    -1,
+		Faults: faults.New(5, map[string]faults.Site{
+			store.FaultAppend: {ErrProb: 1, MaxFaults: 1},
+		}),
+	})
+	defer n.ts.Close()
+	defer closeServer(t, n.srv)
+	encoder := func() any {
+		var health map[string]any
+		getJSON(t, urls[0]+"/healthz", &health)
+		return health["encoder"]
+	}
+	if got := encoder(); got != true {
+		t.Fatalf("replayed follower reports encoder %v, want true", got)
+	}
+
+	rec := []protocol.WALRecord{{Type: store.EventEncoder, Payload: encJSON}}
+	resp := replicateFrame(t, urls[0], 0, true, rec)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusServiceUnavailable {
+		t.Fatalf("reset push with a failing WAL: status %d, want 503", resp.StatusCode)
+	}
+	if got := encoder(); got != true {
+		t.Fatalf("failed reset push wiped follower state: encoder %v", got)
+	}
+
+	resp = replicateFrame(t, urls[0], 0, true, rec)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusNoContent {
+		t.Fatalf("retried reset push: status %d, want 204", resp.StatusCode)
+	}
+	if cl := clusterHealth(t, urls[0]); cl["applied"] != float64(1) {
+		t.Fatalf("cursor after the retried reset = %v, want 1", cl["applied"])
 	}
 }
 

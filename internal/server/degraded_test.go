@@ -40,7 +40,6 @@ func TestDegradedModeRejectsWritesThenRecovers(t *testing.T) {
 	})
 	s, err := NewWithOptions(Options{
 		DataDir:           t.TempDir(),
-		Logf:              t.Logf,
 		Faults:            in,
 		DegradedThreshold: 2,
 		ProbeInterval:     time.Nanosecond, // every write attempt may probe
@@ -112,7 +111,7 @@ func TestDegradedModeRejectsWritesThenRecovers(t *testing.T) {
 // holding the goroutine for the full wait duration.
 func TestWaitTraceRequestCancellationFreesSlot(t *testing.T) {
 	fx := buildFederation(t)
-	s, err := NewWithOptions(Options{Workers: 1, Logf: t.Logf})
+	s, err := NewWithOptions(Options{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

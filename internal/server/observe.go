@@ -27,8 +27,6 @@ import (
 
 	"repro/internal/flight"
 	"repro/internal/protocol"
-	"repro/internal/rounds"
-	"repro/internal/store"
 	"repro/internal/telemetry"
 )
 
@@ -366,21 +364,18 @@ func (s *Server) handleVersion(w http.ResponseWriter, r *http.Request) {
 }
 
 // DebugBundle is the one-shot incident capture GET /v1/debug/bundle
-// returns: build identity, state summary, SLO status, the full retained
-// flight-event set, and the complete telemetry snapshot — everything an
-// operator attaches to an incident report with one curl.
+// returns: build identity, the /healthz state summary, SLO status, the full
+// retained flight-event set, and the telemetry registry snapshot (the JSON
+// form of GET /metrics) — everything an operator attaches to an incident
+// report with one curl.
 type DebugBundle struct {
-	CapturedAtUnix int64                   `json:"captured_at_unix"`
-	Version        VersionInfo             `json:"version"`
-	UptimeSeconds  float64                 `json:"uptime_seconds"`
-	State          map[string]any          `json:"state"`
-	SLO            []telemetry.SLOStatus   `json:"slo"`
-	FlightStats    flight.Stats            `json:"flight_stats"`
-	Events         []EventJSON             `json:"events"`
-	Telemetry      map[string]any          `json:"telemetry"`
-	Jobs           map[string]int64        `json:"jobs"`
-	Store          *store.Metrics          `json:"store,omitempty"`
-	Quality        *rounds.QualitySnapshot `json:"quality,omitempty"`
+	CapturedAtUnix int64                 `json:"captured_at_unix"`
+	Version        VersionInfo           `json:"version"`
+	State          map[string]any        `json:"state"`
+	SLO            []telemetry.SLOStatus `json:"slo"`
+	FlightStats    flight.Stats          `json:"flight_stats"`
+	Events         []EventJSON           `json:"events"`
+	Telemetry      map[string]any        `json:"telemetry"`
 }
 
 func (s *Server) handleDebugBundle(w http.ResponseWriter, r *http.Request) {
@@ -388,45 +383,19 @@ func (s *Server) handleDebugBundle(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusMethodNotAllowed, errors.New("GET required"))
 		return
 	}
-	s.runtime.Collect()
-	s.mu.RLock()
-	eng := s.st.rounds
-	st := map[string]any{
-		"version":      s.st.version,
-		"encoder":      s.st.enc != nil,
-		"model":        s.st.model != nil,
-		"records":      len(s.st.uploads),
-		"participants": s.st.parts,
-		"degraded":     s.degraded,
-	}
-	if eng != nil {
-		st["rounds"] = eng.Rounds()
-	}
-	s.mu.RUnlock()
-
+	s.refreshGauges()
 	evs := s.flightRec.Snapshot(flight.Filter{})
 	events := make([]EventJSON, len(evs))
 	for i, ev := range evs {
 		events[i] = eventJSON(ev)
 	}
-	b := DebugBundle{
+	writeJSON(w, http.StatusOK, DebugBundle{
 		CapturedAtUnix: time.Now().Unix(),
 		Version:        versionInfo(),
-		UptimeSeconds:  time.Since(s.started).Seconds(),
-		State:          st,
+		State:          s.stateSummary(),
 		SLO:            s.slo.Snapshot(),
 		FlightStats:    s.flightRec.Stats(),
 		Events:         events,
 		Telemetry:      s.reg.Snapshot(),
-		Jobs:           s.engine.MetricsView(),
-	}
-	if s.store != nil {
-		m := s.store.Metrics()
-		b.Store = &m
-	}
-	if eng != nil {
-		q := eng.Quality()
-		b.Quality = &q
-	}
-	writeJSON(w, http.StatusOK, b)
+	})
 }

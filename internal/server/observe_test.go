@@ -2,6 +2,7 @@ package server
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"io"
 	"net/http"
@@ -25,7 +26,6 @@ func TestSLOBurnTripsAndClearsDegraded(t *testing.T) {
 	})
 	s, err := NewWithOptions(Options{
 		DataDir: t.TempDir(),
-		Logf:    t.Logf,
 		Faults:  in,
 		// The blunt threshold is far away and probes are effectively off:
 		// only the SLO engine can change the controller's mind here.
@@ -256,6 +256,16 @@ func TestEventsBinaryRoundTrip(t *testing.T) {
 	}
 }
 
+// getBundle captures GET /v1/debug/bundle.
+func getBundle(t *testing.T, ts *httptest.Server) DebugBundle {
+	t.Helper()
+	var b DebugBundle
+	if err := jsonGet(ts, "/v1/debug/bundle", &b); err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
+
 // TestDebugBundle captures the one-shot bundle and proves the embedded
 // events survive a JSON → codec → JSON round trip bit-identically.
 func TestDebugBundle(t *testing.T) {
@@ -269,19 +279,8 @@ func TestDebugBundle(t *testing.T) {
 		resp.Body.Close()
 	}
 
-	resp, err := http.Get(ts.URL + "/v1/debug/bundle")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("bundle status = %d", resp.StatusCode)
-	}
-	var b DebugBundle
-	if err := json.NewDecoder(resp.Body).Decode(&b); err != nil {
-		t.Fatal(err)
-	}
-	if b.CapturedAtUnix == 0 || b.Version.GoVersion == "" || b.UptimeSeconds < 0 {
+	b := getBundle(t, ts)
+	if b.CapturedAtUnix == 0 || b.Version.GoVersion == "" {
 		t.Fatalf("bundle identity underfilled: %+v", b.Version)
 	}
 	if len(b.SLO) == 0 {
@@ -344,8 +343,9 @@ func TestVersionEndpoint(t *testing.T) {
 	}
 }
 
-// TestStatsCarriesObservability pins the /v1/stats additions: SLO status,
-// flight accounting, and refreshed process gauges.
+// TestStatsCarriesObservability pins the bundle's observability blocks:
+// every standing SLO objective, flight accounting, and refreshed process
+// gauges.
 func TestStatsCarriesObservability(t *testing.T) {
 	s := New()
 	defer closeServer(t, s)
@@ -356,33 +356,59 @@ func TestStatsCarriesObservability(t *testing.T) {
 	} else {
 		resp.Body.Close()
 	}
-	resp, err := http.Get(ts.URL + "/v1/stats")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	var sr StatsResponse
-	if err := json.NewDecoder(resp.Body).Decode(&sr); err != nil {
-		t.Fatal(err)
-	}
-	if len(sr.SLO) == 0 {
-		t.Fatal("stats has no SLO objectives")
-	}
+	b := getBundle(t, ts)
 	names := map[string]bool{}
-	for _, o := range sr.SLO {
+	for _, o := range b.SLO {
 		names[o.Name] = true
 	}
 	for _, want := range []string{"availability", "wal_availability", "score_staleness", "rounds_ingest_lag"} {
 		if !names[want] {
-			t.Fatalf("stats SLO missing objective %q (have %v)", want, names)
+			t.Fatalf("bundle SLO missing objective %q (have %v)", want, names)
 		}
 	}
-	if sr.Flight.Recorded == 0 {
-		t.Fatal("stats flight accounting empty after a served request")
+	if b.FlightStats.Recorded == 0 {
+		t.Fatal("bundle flight accounting empty after a served request")
 	}
-	g, ok := sr.Telemetry["ctfl_process_goroutines"].(float64)
+	g, ok := b.Telemetry["ctfl_process_goroutines"].(float64)
 	if !ok || g <= 0 {
-		t.Fatalf("process goroutine gauge not refreshed: %v", sr.Telemetry["ctfl_process_goroutines"])
+		t.Fatalf("process goroutine gauge not refreshed: %v", b.Telemetry["ctfl_process_goroutines"])
+	}
+}
+
+// TestBundleRefreshesScoreStaleness: the bundle refreshes the pull gauges
+// /metrics refreshes, so an idle score stream shows its real staleness in
+// both forms of the registry.
+func TestBundleRefreshesScoreStaleness(t *testing.T) {
+	if testing.Short() {
+		t.Skip("training test")
+	}
+	fx := buildStreamFederation(t)
+	s := New()
+	defer closeServer(t, s)
+	ts := httptest.NewServer(s)
+	defer ts.Close()
+	c := &Client{BaseURL: ts.URL}
+	ctx := context.Background()
+	if err := c.PublishEncoder(ctx, fx.enc); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.PublishModel(ctx, fx.sim.Model); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.PublishRoundEval(ctx, fx.test); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.PushRound(ctx, 0, fx.wireRounds()[0]); err != nil {
+		t.Fatal(err)
+	}
+
+	time.Sleep(300 * time.Millisecond)
+	b := getBundle(t, ts)
+	if got, _ := b.Telemetry["ctfl_rounds_score_staleness_seconds"].(float64); got < 0.25 {
+		t.Fatalf("bundle score staleness = %v s after 300ms idle, want >= 0.25", got)
+	}
+	if b.State["rounds"] != 1.0 {
+		t.Fatalf("bundle state rounds = %v, want 1", b.State["rounds"])
 	}
 }
 
@@ -391,10 +417,7 @@ func TestStatsCarriesObservability(t *testing.T) {
 // and the finished job itself appears as a KindJob event.
 func TestTraceCacheHitAnnotatesFlight(t *testing.T) {
 	fx := buildFederation(t)
-	s, err := NewWithOptions(Options{Logf: t.Logf})
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := New()
 	defer closeServer(t, s)
 	ts := httptest.NewServer(s)
 	defer ts.Close()

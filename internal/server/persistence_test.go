@@ -26,7 +26,7 @@ type rawJobEnv struct {
 
 func newDurable(t *testing.T, dir string) *Server {
 	t.Helper()
-	s, err := NewWithOptions(Options{DataDir: dir, Logf: t.Logf})
+	s, err := NewWithOptions(Options{DataDir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,7 +92,7 @@ func TestRestartReproducesTraceByteForByte(t *testing.T) {
 		if _, err := os.Stat(filepath.Join(dir, "wal.log")); err != nil {
 			t.Fatal(err)
 		}
-		s2, err := NewWithOptions(Options{DataDir: dir, Logf: t.Logf})
+		s2, err := NewWithOptions(Options{DataDir: dir})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -268,6 +268,8 @@ func TestBodySizeCap(t *testing.T) {
 	}
 }
 
+// TestStatsEndpoint pins the stats surface: GET /v1/stats is gone, and the
+// numbers it served come from the debug bundle's telemetry and state.
 func TestStatsEndpoint(t *testing.T) {
 	if testing.Short() {
 		t.Skip("training test")
@@ -282,25 +284,37 @@ func TestStatsEndpoint(t *testing.T) {
 	traceRaw(t, ts, "/v1/trace?wait=60s", fx.testCSV)
 	traceRaw(t, ts, "/v1/trace?wait=60s", fx.testCSV) // cache hit
 
-	st, err := (&Client{BaseURL: ts.URL}).Stats(context.Background())
+	resp, err := http.Get(ts.URL + "/v1/stats")
 	if err != nil {
 		t.Fatal(err)
 	}
-	reqs := func(route string) any { return st.Telemetry[`ctfl_http_requests_total{route="`+route+`"}`] }
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusNotFound {
+		t.Fatalf("GET /v1/stats: status %d, want 404", resp.StatusCode)
+	}
+
+	b := getBundle(t, ts)
+	reqs := func(route string) any { return b.Telemetry[`ctfl_http_requests_total{route="`+route+`"}`] }
 	if reqs("/v1/trace") != 2.0 || reqs("/v1/uploads") != 1.0 {
 		t.Fatalf("request counters: trace %v, uploads %v", reqs("/v1/trace"), reqs("/v1/uploads"))
 	}
-	if st.Jobs["done"] != 1 || st.Jobs["cache_hits"] != 1 || st.Jobs["submitted"] != 1 {
-		t.Fatalf("job counters = %v", st.Jobs)
+	for name, want := range map[string]float64{
+		"ctfl_jobs_submitted_total":  1,
+		"ctfl_jobs_done_total":       1,
+		"ctfl_jobs_cache_hits_total": 1,
+	} {
+		if got := b.Telemetry[name]; got != want {
+			t.Fatalf("%s = %v, want %v", name, got, want)
+		}
 	}
-	if st.Store == nil || st.Store.WALEvents == 0 {
-		t.Fatalf("store metrics = %+v", st.Store)
+	if got, _ := b.Telemetry["ctfl_store_wal_events"].(float64); got == 0 {
+		t.Fatalf("WAL events gauge = %v", b.Telemetry["ctfl_store_wal_events"])
 	}
-	if st.State["records"].(float64) == 0 || st.State["version"].(float64) == 0 {
-		t.Fatalf("state = %v", st.State)
+	if b.State["uploads"].(float64) == 0 || b.State["version"].(float64) == 0 {
+		t.Fatalf("state = %v", b.State)
 	}
-	if st.UptimeSeconds <= 0 {
-		t.Fatalf("uptime = %v", st.UptimeSeconds)
+	if got, _ := b.Telemetry["ctfl_process_uptime_seconds"].(float64); got <= 0 {
+		t.Fatalf("uptime = %v", b.Telemetry["ctfl_process_uptime_seconds"])
 	}
 }
 
@@ -312,7 +326,7 @@ func TestWALCompactionUnderUploadPressure(t *testing.T) {
 	}
 	fx := buildFederation(t)
 	dir := t.TempDir()
-	s1, err := NewWithOptions(Options{DataDir: dir, CompactBytes: 512, Logf: t.Logf})
+	s1, err := NewWithOptions(Options{DataDir: dir, CompactBytes: 512})
 	if err != nil {
 		t.Fatal(err)
 	}

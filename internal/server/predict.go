@@ -22,7 +22,6 @@ import (
 	"io"
 	"net/http"
 	"sync"
-	"time"
 
 	"repro/internal/protocol"
 )
@@ -82,11 +81,6 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	width := bin.InDim()
-
-	t0 := time.Now()
-	s.predictInFlight.Add(1)
-	defer s.predictInFlight.Add(-1)
-	defer s.predictSeconds.ObserveSince(t0)
 
 	sc := predictPool.Get().(*predictScratch)
 	defer predictPool.Put(sc)

@@ -350,10 +350,7 @@ func TestRoundRouteValidation(t *testing.T) {
 // duration.
 func TestScoresWaitRequestCancellation(t *testing.T) {
 	fx := buildFederation(t)
-	s, err := NewWithOptions(Options{Logf: t.Logf})
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := New()
 	defer closeServer(t, s)
 	ts := httptest.NewServer(s)
 	defer ts.Close()
@@ -461,7 +458,7 @@ func TestContributionGateOnServer(t *testing.T) {
 	}
 
 	dir := t.TempDir()
-	s1, err := NewWithOptions(Options{DataDir: dir, Logf: t.Logf, RoundGate: gate})
+	s1, err := NewWithOptions(Options{DataDir: dir, RoundGate: gate})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -522,7 +519,7 @@ func TestContributionGateOnServer(t *testing.T) {
 	ts1.Close() // crash without graceful close: WAL only
 
 	// Restore: gate flags must rebuild from replayed outcomes alone.
-	s2, err := NewWithOptions(Options{DataDir: dir, Logf: t.Logf, RoundGate: gate})
+	s2, err := NewWithOptions(Options{DataDir: dir, RoundGate: gate})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -12,10 +12,11 @@
 //	POST /v1/trace         submit a reserved test set (CSV) → trace job
 //	GET  /v1/trace/{id}    poll a trace job's status / result
 //	GET  /v1/rules         the extracted rule set (interpretability)
-//	GET  /v1/stats         telemetry snapshot plus job, store and SLO state
 //	GET  /v1/events        flight-recorder wide events (JSON or binary v2)
-//	GET  /v1/debug/bundle  one-shot incident capture (state+SLO+events)
+//	GET  /v1/debug/bundle  one-shot incident capture: state, SLOs, events
+//	                       and the full telemetry snapshot
 //	GET  /v1/version       build identity (module, VCS revision)
+//	GET  /metrics          the telemetry registry as Prometheus text
 //	GET  /healthz          liveness
 //
 // Raw training features never cross this API: participants send only
@@ -104,17 +105,8 @@ type Options struct {
 	// NoSync disables the per-append WAL fsync (durability for speed).
 	NoSync bool
 	// Logger is the service's structured logger: access log, recovery and
-	// lifecycle diagnostics. Defaults to a logger built from Logf when that
-	// is set, else slog.Default().
+	// lifecycle diagnostics. Defaults to slog.Default().
 	Logger *slog.Logger
-	// Logf is the legacy printf-style hook, kept as a compatibility shim:
-	// when set (and Logger is not), all logging renders through it. When
-	// only Logger is set, Logf is derived from it so internal printf-style
-	// call sites keep working.
-	Logf func(format string, args ...any)
-	// JobRetry re-runs failed trace jobs (panics are quarantined instead).
-	// The zero value disables retries.
-	JobRetry jobs.RetryPolicy
 	// DegradedThreshold is how many consecutive WAL append failures trip
 	// degraded mode (default 3): reads and traces keep working, writes are
 	// rejected with 503 + Retry-After until a probe append succeeds.
@@ -190,13 +182,7 @@ func (o Options) withDefaults() Options {
 		o.CompactBytes = 8 << 20
 	}
 	if o.Logger == nil {
-		o.Logger = telemetry.LogfLogger(o.Logf) // nil Logf → slog.Default()
-	}
-	if o.Logf == nil {
-		lg := o.Logger
-		o.Logf = func(format string, args ...any) {
-			lg.Info(fmt.Sprintf(format, args...))
-		}
+		o.Logger = slog.Default()
 	}
 	if o.DegradedThreshold <= 0 {
 		o.DegradedThreshold = 3
@@ -273,12 +259,12 @@ type Server struct {
 	// WAL appends trigger (see sloSyncFloor). Guarded by mu (write).
 	lastSLOTick time.Time
 
-	mux     *http.ServeMux
-	started time.Time
+	mux *http.ServeMux
 
-	// Observability substrate: one registry for every metric family the
-	// process owns, the unified structured logger, and the tracer/store
-	// instrument handles threaded into the subsystems.
+	// Observability substrate: one registry for every number the service
+	// reports (GET /metrics renders it as text, GET /v1/debug/bundle as
+	// JSON), the structured logger, and the tracer/store instrument handles
+	// threaded into the subsystems.
 	reg      *telemetry.Registry
 	log      *slog.Logger
 	inFlight *telemetry.Gauge
@@ -302,11 +288,9 @@ type Server struct {
 	sloStop          chan struct{}
 	sloDone          chan struct{}
 
-	// Predict serving-path instruments (the route middleware already times
-	// every request; these isolate the inference endpoint specifically).
-	predictSeconds  *telemetry.Histogram
-	predictRows     *telemetry.Counter
-	predictInFlight *telemetry.Gauge
+	// predictRows counts rows scored by /v1/predict; the route middleware
+	// already counts and times the requests themselves.
+	predictRows *telemetry.Counter
 
 	// roundsObs instruments the streaming valuation engine; registered at
 	// construction so the families are visible to scrapes before any
@@ -349,30 +333,24 @@ func New() *Server {
 func NewWithOptions(opts Options) (*Server, error) {
 	opts = opts.withDefaults()
 	s := &Server{
-		opts:    opts,
-		mux:     http.NewServeMux(),
-		started: time.Now(),
-		reg:     telemetry.NewRegistry(),
-		log:     opts.Logger,
+		opts: opts,
+		mux:  http.NewServeMux(),
+		reg:  telemetry.NewRegistry(),
+		log:  opts.Logger,
 	}
 	s.inFlight = s.reg.Gauge("ctfl_http_in_flight", "HTTP requests currently being served")
 	s.coreObs = core.NewObs(s.reg)
 	s.storeObs = store.NewObs(s.reg)
 	s.degradedGauge = s.reg.Gauge("ctfl_server_degraded", "1 while WAL writes are rejected (degraded mode)")
 	s.degradedEntered = s.reg.Counter("ctfl_server_degraded_entered_total", "times the server entered degraded mode")
-	s.predictSeconds = s.reg.Histogram("ctfl_predict_request_seconds", "POST /v1/predict latency", nil)
 	s.predictRows = s.reg.Counter("ctfl_predict_rows_total", "feature rows scored by POST /v1/predict")
-	s.predictInFlight = s.reg.Gauge("ctfl_predict_in_flight", "predict requests currently being served")
 	s.roundsObs = rounds.NewObs(s.reg)
-	// The server never trains, but registering the family keeps the full
-	// metric catalog visible to scrapes from process start.
-	_ = nn.TrainTelemetry(s.reg)
 
 	// Observability tier: always-on flight recorder, process runtime
 	// stats, and the SLO burn-rate engine. Registered before the routes so
 	// the middleware can attach per-route latency objectives.
 	s.flightRec = flight.New(flight.Config{Obs: flight.NewObs(s.reg)})
-	s.runtime = telemetry.NewRuntimeStats(s.reg, s.started)
+	s.runtime = telemetry.NewRuntimeStats(s.reg, time.Now())
 	s.httpResponses = s.reg.Counter("ctfl_http_responses_total", "HTTP responses served, any status")
 	s.httpServerErrors = s.reg.Counter("ctfl_http_response_errors_total", "HTTP 5xx responses served")
 	s.walAttempts = s.reg.Counter("ctfl_wal_attempts_total", "WAL append attempts, including recovery probes")
@@ -387,7 +365,6 @@ func NewWithOptions(opts Options) (*Server, error) {
 
 	s.engine = jobs.New(jobs.Config{
 		Workers: opts.Workers,
-		Retry:   opts.JobRetry,
 		Faults:  opts.Faults,
 		Obs:     jobs.NewObs(s.reg),
 		OnFinish: func(v jobs.View) {
@@ -397,9 +374,6 @@ func NewWithOptions(opts Options) (*Server, error) {
 				RequestID: v.ID,
 				CacheHit:  v.CacheHit,
 				Degraded:  s.degradedGauge.Value() != 0,
-			}
-			if v.Attempts > 1 {
-				ev.Retries = int32(v.Attempts - 1)
 			}
 			if !v.Started.IsZero() && !v.Finished.IsZero() {
 				ev.DurationNs = v.Finished.Sub(v.Started).Nanoseconds()
@@ -417,7 +391,9 @@ func NewWithOptions(opts Options) (*Server, error) {
 
 	if opts.DataDir != "" {
 		st, events, err := store.Open(opts.DataDir, store.Options{
-			Sync: !opts.NoSync, Logf: opts.Logf, Obs: s.storeObs, Faults: opts.Faults,
+			Sync: !opts.NoSync, Obs: s.storeObs, Faults: opts.Faults,
+			// The store's recovery diagnostics are printf-style.
+			Logf: func(format string, args ...any) { s.log.Warn(fmt.Sprintf(format, args...)) },
 			// Leaders retain the logical event log so cursor resyncs can
 			// re-feed a lagging follower (see cluster.go).
 			Retain: opts.ReplicaURL != "",
@@ -431,11 +407,11 @@ func NewWithOptions(opts Options) (*Server, error) {
 				// Every event was validated before it was logged, so a bad
 				// one is survivable noise (e.g. an upload for a superseded
 				// model): log and keep replaying.
-				opts.Logf("server: replay: skipping event %d (type %d): %v", i, ev.Type, err)
+				s.log.Warn("replay: skipping event", "index", i, "type", ev.Type, "err", err)
 			}
 		}
-		opts.Logf("server: replayed %d events from %s (%d participants, %d records)",
-			len(events), opts.DataDir, s.st.parts, len(s.st.uploads))
+		s.log.Info("replayed durable state", "events", len(events), "data_dir", opts.DataDir,
+			"participants", s.st.parts, "records", len(s.st.uploads))
 	}
 
 	s.route("/healthz", s.handleHealth)
@@ -448,7 +424,6 @@ func NewWithOptions(opts Options) (*Server, error) {
 	s.route("/v1/trace", s.handleTrace)
 	s.route("/v1/trace/{id}", s.handleTraceJob)
 	s.route("/v1/rules", s.handleRules)
-	s.route("/v1/stats", s.handleStats)
 	s.route("/v1/events", s.handleEvents)
 	s.route("/v1/debug/bundle", s.handleDebugBundle)
 	s.route("/v1/version", s.handleVersion)
@@ -471,11 +446,6 @@ func NewWithOptions(opts Options) (*Server, error) {
 	}
 	return s, nil
 }
-
-// Registry exposes the server's metric registry, so embedding callers
-// (CLI harnesses, tests) can register or read instruments alongside the
-// built-in families.
-func (s *Server) Registry() *telemetry.Registry { return s.reg }
 
 // ServeHTTP implements http.Handler.
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
@@ -718,7 +688,7 @@ func (s *Server) maybeCompactLocked() {
 		return
 	}
 	if err := s.store.Compact(s.snapshotEventsLocked()); err != nil {
-		s.opts.Logf("server: wal compaction failed (continuing on wal): %v", err)
+		s.log.Warn("wal compaction failed, continuing on the wal", "err", err)
 	}
 }
 
@@ -806,7 +776,14 @@ func maxBytesCode(err error, def int) int {
 }
 
 func (s *Server) handleHealth(w http.ResponseWriter, _ *http.Request) {
+	writeJSON(w, http.StatusOK, s.stateSummary())
+}
+
+// stateSummary is the federation and cluster state /healthz serves and the
+// debug bundle embeds.
+func (s *Server) stateSummary() map[string]any {
 	s.mu.RLock()
+	defer s.mu.RUnlock()
 	state := map[string]any{
 		"ok":           true,
 		"encoder":      s.st.enc != nil,
@@ -815,6 +792,10 @@ func (s *Server) handleHealth(w http.ResponseWriter, _ *http.Request) {
 		"participants": s.st.parts,
 		"durable":      s.store != nil,
 		"degraded":     s.degraded,
+		"version":      s.st.version,
+	}
+	if eng := s.st.rounds; eng != nil {
+		state["rounds"] = eng.Rounds()
 	}
 	if s.ring != nil || s.opts.ReplicaURL != "" || s.opts.LeaderURL != "" {
 		role := "leader"
@@ -835,8 +816,7 @@ func (s *Server) handleHealth(w http.ResponseWriter, _ *http.Request) {
 		}
 		state["cluster"] = cl
 	}
-	s.mu.RUnlock()
-	writeJSON(w, http.StatusOK, state)
+	return state
 }
 
 func (s *Server) handleEncoder(w http.ResponseWriter, r *http.Request) {
@@ -1227,65 +1207,6 @@ func (s *Server) handleRules(w http.ResponseWriter, r *http.Request) {
 		out = append(out, RuleJSON{Index: ru.Index, Positive: ru.Positive, Weight: ru.Weight, Expr: ru.Expr})
 	}
 	writeJSON(w, http.StatusOK, out)
-}
-
-// StatsResponse is the shape of GET /v1/stats.
-type StatsResponse struct {
-	UptimeSeconds float64          `json:"uptime_seconds"`
-	Jobs          map[string]int64 `json:"jobs"`
-	Store         *store.Metrics   `json:"store,omitempty"`
-	State         map[string]any   `json:"state"`
-	// Telemetry is the full metric-registry snapshot — the JSON twin of
-	// GET /metrics, and the only source of per-route request counts
-	// (ctfl_http_requests_total{route=…}). Counters/gauges are scalars;
-	// histograms carry count/sum/p50/p95/p99.
-	Telemetry map[string]any `json:"telemetry,omitempty"`
-	// SLO is every declared objective's live burn-rate status.
-	SLO []telemetry.SLOStatus `json:"slo,omitempty"`
-	// Flight is the flight recorder's retention accounting.
-	Flight flight.Stats `json:"flight"`
-	// Quality is the streaming score-quality snapshot, when a round-stream
-	// engine is live.
-	Quality *rounds.QualitySnapshot `json:"quality,omitempty"`
-}
-
-func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		httpError(w, http.StatusMethodNotAllowed, errors.New("GET required"))
-		return
-	}
-	s.mu.RLock()
-	st := map[string]any{
-		"version":      s.st.version,
-		"encoder":      s.st.enc != nil,
-		"model":        s.st.model != nil,
-		"records":      len(s.st.uploads),
-		"participants": s.st.parts,
-		"degraded":     s.degraded,
-	}
-	eng := s.st.rounds
-	if eng != nil {
-		st["rounds"] = eng.Rounds()
-	}
-	s.mu.RUnlock()
-	s.runtime.Collect()
-	resp := StatsResponse{
-		UptimeSeconds: time.Since(s.started).Seconds(),
-		Jobs:          s.engine.MetricsView(),
-		State:         st,
-		Telemetry:     s.reg.Snapshot(),
-		SLO:           s.slo.Snapshot(),
-		Flight:        s.flightRec.Stats(),
-	}
-	if eng != nil {
-		q := eng.Quality()
-		resp.Quality = &q
-	}
-	if s.store != nil {
-		m := s.store.Metrics()
-		resp.Store = &m
-	}
-	writeJSON(w, http.StatusOK, resp)
 }
 
 func queryFloat(r *http.Request, key string, def float64) (float64, error) {

@@ -3,8 +3,9 @@ package server
 // Observability surface: every route runs through a middleware that stamps
 // a request id, emits a structured access-log line, counts and times the
 // request, and records it as one flight event keyed by that request id.
-// The aggregate state is exported twice from one registry — Prometheus
-// text on GET /metrics and a JSON snapshot in GET /v1/stats.
+// Every number the service reports lives in one registry, exported twice:
+// Prometheus text on GET /metrics and a JSON snapshot in GET
+// /v1/debug/bundle.
 
 import (
 	"context"
@@ -97,9 +98,7 @@ func (s *Server) route(pattern string, h http.HandlerFunc) {
 		if id == "" {
 			id = telemetry.NewRequestID()
 		}
-		reqLog := s.log.With("request_id", id)
 		ctx := telemetry.WithRequestID(r.Context(), id)
-		ctx = telemetry.WithLogger(ctx, reqLog)
 		ex := &reqExtras{}
 		ctx = withReqExtras(ctx, ex)
 
@@ -149,7 +148,8 @@ func (s *Server) route(pattern string, h http.HandlerFunc) {
 			Err:        sw.errDetail(),
 		})
 
-		reqLog.Info("request",
+		s.log.Info("request",
+			"request_id", id,
 			"method", r.Method,
 			"route", pattern,
 			"status", sw.code,
@@ -159,22 +159,27 @@ func (s *Server) route(pattern string, h http.HandlerFunc) {
 	})
 }
 
-// handleMetrics serves the registry in Prometheus text exposition format.
-func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		httpError(w, http.StatusMethodNotAllowed, errors.New("GET required"))
-		return
-	}
-	// Staleness is a passive gauge: refresh it from the engine clock at
-	// scrape time so Prometheus sees how long the scores have sat still.
+// refreshGauges brings the pull-refreshed gauges up to date before the
+// registry is read: round-score staleness (the engine never reads a clock
+// on its own) and the process runtime stats. GET /metrics and the debug
+// bundle both call it, so the registry's two forms agree.
+func (s *Server) refreshGauges() {
 	s.mu.RLock()
 	eng := s.st.rounds
 	s.mu.RUnlock()
 	if eng != nil {
 		s.roundsObs.Staleness.Set(eng.Staleness().Seconds())
 	}
-	// Process runtime gauges are likewise pull-refreshed at scrape time.
 	s.runtime.Collect()
+}
+
+// handleMetrics serves the registry in Prometheus text exposition format.
+func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
+	if r.Method != http.MethodGet {
+		httpError(w, http.StatusMethodNotAllowed, errors.New("GET required"))
+		return
+	}
+	s.refreshGauges()
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	s.reg.WritePrometheus(w)
 }

@@ -3,7 +3,7 @@ package server
 import (
 	"bytes"
 	"context"
-	"fmt"
+	"log/slog"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -69,7 +69,6 @@ func TestMetricsAndTraceEndpoints(t *testing.T) {
 		`ctfl_tracer_queries_total{strategy="index"}`,
 		"ctfl_tracer_trace_seconds_count 1",
 		"ctfl_store_append_seconds_count",
-		"ctfl_train_epochs_total",
 		"# TYPE ctfl_http_request_seconds histogram",
 	} {
 		if !strings.Contains(text, name) {
@@ -77,19 +76,14 @@ func TestMetricsAndTraceEndpoints(t *testing.T) {
 		}
 	}
 
-	// JSON twin inside /v1/stats.
-	st, err := c.Stats(ctx)
-	if err != nil {
-		t.Fatal(err)
+	// JSON twin inside the debug bundle.
+	b := getBundle(t, ts)
+	if b.Telemetry["ctfl_jobs_submitted_total"] != 1.0 || b.Telemetry["ctfl_jobs_done_total"] != 1.0 {
+		t.Errorf("bundle jobs: submitted %v, done %v, want 1 / 1",
+			b.Telemetry["ctfl_jobs_submitted_total"], b.Telemetry["ctfl_jobs_done_total"])
 	}
-	if st.Jobs["submitted"] != 1 || st.Jobs["done"] != 1 {
-		t.Errorf("stats jobs = %v, want 1 submitted / 1 done", st.Jobs)
-	}
-	if _, ok := st.Telemetry["ctfl_jobs_submitted_total"]; !ok {
-		t.Error("stats telemetry snapshot missing ctfl_jobs_submitted_total")
-	}
-	if st.UptimeSeconds <= 0 {
-		t.Errorf("uptime %v, want > 0", st.UptimeSeconds)
+	if got, _ := b.Telemetry["ctfl_process_uptime_seconds"].(float64); got <= 0 {
+		t.Errorf("uptime %v, want > 0", b.Telemetry["ctfl_process_uptime_seconds"])
 	}
 
 	// The flight recorder is the one per-request record: the trace request
@@ -109,14 +103,27 @@ func TestMetricsAndTraceEndpoints(t *testing.T) {
 	}
 }
 
+// lockedBuffer is a log sink safe to read while server goroutines write.
+type lockedBuffer struct {
+	mu  sync.Mutex
+	buf bytes.Buffer
+}
+
+func (b *lockedBuffer) Write(p []byte) (int, error) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.buf.Write(p)
+}
+
+func (b *lockedBuffer) String() string {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.buf.String()
+}
+
 func TestAccessLogCarriesRequestID(t *testing.T) {
-	var mu sync.Mutex
-	var lines []string
-	s, err := NewWithOptions(Options{Logf: func(format string, args ...any) {
-		mu.Lock()
-		lines = append(lines, fmt.Sprintf(format, args...))
-		mu.Unlock()
-	}})
+	var logs lockedBuffer
+	s, err := NewWithOptions(Options{Logger: slog.New(slog.NewTextHandler(&logs, nil))})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,8 +141,7 @@ func TestAccessLogCarriesRequestID(t *testing.T) {
 		t.Errorf("X-Request-Id echoed as %q, want caller's id", got)
 	}
 
-	mu.Lock()
-	defer mu.Unlock()
+	lines := strings.Split(logs.String(), "\n")
 	found := false
 	for _, l := range lines {
 		if strings.Contains(l, "request") && strings.Contains(l, "request_id=reqid-test-42") {
@@ -151,7 +157,7 @@ func TestAccessLogCarriesRequestID(t *testing.T) {
 }
 
 // TestConcurrentScrapeWhileUploading exercises the metric registry, flight
-// recorder, and stats endpoint while lifecycle mutations and traces are in
+// recorder, and debug bundle while lifecycle mutations and traces are in
 // flight — the race detector is the assertion.
 func TestConcurrentScrapeWhileUploading(t *testing.T) {
 	if testing.Short() {
@@ -189,7 +195,7 @@ func TestConcurrentScrapeWhileUploading(t *testing.T) {
 	}()
 	for _, scrape := range []func() error{
 		func() error { _, err := c.Metrics(ctx); return err },
-		func() error { _, err := c.Stats(ctx); return err },
+		func() error { var b DebugBundle; return jsonGet(ts, "/v1/debug/bundle", &b) },
 		func() error {
 			resp, err := http.Get(ts.URL + "/v1/events?n=10")
 			if err == nil {

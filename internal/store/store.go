@@ -130,23 +130,14 @@ type Store struct {
 	dir  string
 	opts Options
 
-	mu           sync.Mutex
-	wal          *os.File
-	walSize      int64
-	walEvents    int64
-	snapSeq      uint64
-	lastSnapshot time.Time
-	closed       bool
+	mu        sync.Mutex
+	wal       *os.File
+	walSize   int64
+	walEvents int64
+	snapSeq   uint64
+	closed    bool
 	// retained is the logical event log (Options.Retain); see EventsFrom.
 	retained []Event
-}
-
-// Metrics is a point-in-time summary for observability endpoints.
-type Metrics struct {
-	WALBytes     int64     `json:"wal_bytes"`
-	WALEvents    int64     `json:"wal_events"`
-	SnapshotSeq  uint64    `json:"snapshot_seq"`
-	LastSnapshot time.Time `json:"last_snapshot"`
 }
 
 // Open opens (creating if needed) the store at dir and replays its durable
@@ -216,9 +207,6 @@ func (s *Store) loadSnapshot() ([]Event, error) {
 			continue
 		}
 		s.snapSeq = seqs[i]
-		if fi, statErr := os.Stat(path); statErr == nil {
-			s.lastSnapshot = fi.ModTime()
-		}
 		return events, nil
 	}
 	return nil, nil
@@ -465,7 +453,6 @@ func (s *Store) Compact(events []Event) error {
 	}
 	s.wal, s.walSize, s.walEvents = wal, 0, 0
 	s.snapSeq = seq
-	s.lastSnapshot = time.Now()
 
 	if seqs, err := s.snapshotSeqs(); err == nil && len(seqs) > keepSnapshots {
 		for _, old := range seqs[:len(seqs)-keepSnapshots] {
@@ -479,18 +466,6 @@ func (s *Store) Compact(events []Event) error {
 		s.opts.Obs.WALEvents.Set(0)
 	}
 	return nil
-}
-
-// Metrics reports store-level observability counters.
-func (s *Store) Metrics() Metrics {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return Metrics{
-		WALBytes:     s.walSize,
-		WALEvents:    s.walEvents,
-		SnapshotSeq:  s.snapSeq,
-		LastSnapshot: s.lastSnapshot,
-	}
 }
 
 // Close releases the WAL file handle. The store is unusable afterwards.

@@ -28,7 +28,7 @@ func TestInjectedAppendFailureLeavesWALConsistent(t *testing.T) {
 	in := faults.New(21, map[string]faults.Site{
 		FaultAppend: {ErrProb: 1, MaxFaults: 2},
 	})
-	s, _, _ := openFaulty(t, dir, in)
+	s, _, obs := openFaulty(t, dir, in)
 
 	batch := []Event{ev(EventEncoder, "enc"), ev(EventUpload, "frame-a"), ev(EventUpload, "frame-b")}
 	var failures int
@@ -48,8 +48,8 @@ func TestInjectedAppendFailureLeavesWALConsistent(t *testing.T) {
 	if failures != 2 {
 		t.Fatalf("observed %d injected failures, want MaxFaults=2", failures)
 	}
-	if m := s.Metrics(); m.WALEvents != int64(len(batch)) {
-		t.Fatalf("WAL holds %d events after retries, want %d (no duplicate prefix)", m.WALEvents, len(batch))
+	if got := obs.WALEvents.Value(); got != float64(len(batch)) {
+		t.Fatalf("WAL holds %v events after retries, want %d (no duplicate prefix)", got, len(batch))
 	}
 	s.Close()
 
@@ -147,7 +147,7 @@ func TestInjectedRenameFailureKeepsWAL(t *testing.T) {
 	in := faults.New(17, map[string]faults.Site{
 		FaultRename: {ErrProb: 1, MaxFaults: 1},
 	})
-	s, _, _ := openFaulty(t, dir, in)
+	s, _, obs := openFaulty(t, dir, in)
 
 	live := []Event{ev(EventEncoder, "enc"), ev(EventUpload, "frame")}
 	for _, e := range live {
@@ -161,15 +161,15 @@ func TestInjectedRenameFailureKeepsWAL(t *testing.T) {
 		t.Fatalf("Compact err = %v, want injected rename failure", err)
 	}
 	// The failed compaction must not have reset the WAL.
-	if m := s.Metrics(); m.WALEvents != int64(len(live)) || m.SnapshotSeq != 0 {
-		t.Fatalf("metrics after failed compact = %+v", m)
+	if events, compactions := obs.WALEvents.Value(), obs.Compactions.Value(); events != float64(len(live)) || compactions != 0 {
+		t.Fatalf("after failed compact: %v WAL events, %d compactions", events, compactions)
 	}
 	// Budget spent: the retry publishes cleanly.
 	if err := s.Compact(state); err != nil {
 		t.Fatal(err)
 	}
-	if m := s.Metrics(); m.SnapshotSeq != 1 || m.WALEvents != 0 {
-		t.Fatalf("metrics after retried compact = %+v", m)
+	if events, compactions := obs.WALEvents.Value(), obs.Compactions.Value(); events != 0 || compactions != 1 {
+		t.Fatalf("after retried compact: %v WAL events, %d compactions", events, compactions)
 	}
 	s.Close()
 

@@ -7,11 +7,15 @@ import (
 	"path/filepath"
 	"sync"
 	"testing"
+
+	"repro/internal/telemetry"
 )
 
+// openT opens a store at dir with a live telemetry registry, so tests can
+// assert its gauges through s.opts.Obs.
 func openT(t *testing.T, dir string) (*Store, []Event) {
 	t.Helper()
-	s, evs, err := Open(dir, Options{Logf: t.Logf})
+	s, evs, err := Open(dir, Options{Logf: t.Logf, Obs: NewObs(telemetry.NewRegistry())})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,9 +54,8 @@ func TestAppendReplayRoundTrip(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	m := s.Metrics()
-	if m.WALEvents != int64(len(want)) || m.WALBytes == 0 {
-		t.Fatalf("metrics = %+v", m)
+	if events, size := s.opts.Obs.WALEvents.Value(), s.opts.Obs.WALBytes.Value(); events != float64(len(want)) || size == 0 {
+		t.Fatalf("WAL gauges: %v events, %v bytes", events, size)
 	}
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
@@ -134,9 +137,8 @@ func TestCompactSnapshotAndReplay(t *testing.T) {
 	if got := s.WALSize(); got != 0 {
 		t.Fatalf("WAL size after compact = %d", got)
 	}
-	m := s.Metrics()
-	if m.SnapshotSeq != 1 || m.LastSnapshot.IsZero() {
-		t.Fatalf("metrics after compact = %+v", m)
+	if got := s.opts.Obs.Compactions.Value(); got != 1 {
+		t.Fatalf("compactions = %d, want 1", got)
 	}
 	// Post-compaction events go to the fresh WAL.
 	s.Append(ev(EventUpload, "after"))

@@ -11,7 +11,7 @@
 // Metric names follow the Prometheus exposition conventions
 // (`ctfl_<subsystem>_<what>_<unit>`, labels inline in the registered
 // name), and Registry renders both the text exposition format for
-// GET /metrics and a JSON snapshot for /v1/stats.
+// GET /metrics and a JSON snapshot for GET /v1/debug/bundle.
 package telemetry
 
 import (
@@ -374,7 +374,8 @@ func formatBound(b float64) string {
 
 // Snapshot returns a JSON-friendly view of every instrument, keyed by the
 // full registered name: counters and gauges as numbers, histograms as
-// {count, sum, p50, p95, p99} objects. This is what /v1/stats merges in.
+// {count, sum, p50, p95, p99} objects. This is the debug bundle's
+// telemetry block.
 func (r *Registry) Snapshot() map[string]any {
 	out := make(map[string]any)
 	for _, m := range r.snapshotOrder() {

@@ -1,8 +1,8 @@
 package telemetry
 
 // Process runtime metrics: goroutine count, heap, GC activity, uptime,
-// and open file descriptors, refreshed on demand (every /metrics scrape,
-// /v1/stats read, and debug-bundle capture) rather than by a background
+// and open file descriptors, refreshed on demand (every /metrics scrape
+// and debug-bundle capture) rather than by a background
 // poller — a scraped gauge that is seconds stale is useless, and a poller
 // would burn cycles when nobody is looking.
 

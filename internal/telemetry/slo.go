@@ -118,8 +118,7 @@ type SLOTransition struct {
 	Breached bool
 }
 
-// SLOStatus is the JSON shape of one objective in /v1/stats and the debug
-// bundle.
+// SLOStatus is the JSON shape of one objective in the debug bundle.
 type SLOStatus struct {
 	Name     string  `json:"name"`
 	Target   float64 `json:"target"`

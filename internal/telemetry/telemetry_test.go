@@ -2,7 +2,6 @@ package telemetry
 
 import (
 	"context"
-	"fmt"
 	"strings"
 	"sync"
 	"testing"
@@ -131,22 +130,6 @@ func TestRequestIDPropagation(t *testing.T) {
 	}
 	if RequestIDFrom(context.Background()) != "" {
 		t.Fatal("empty context produced an id")
-	}
-}
-
-func TestLogfLogger(t *testing.T) {
-	var lines []string
-	l := LogfLogger(func(format string, args ...any) {
-		lines = append(lines, fmt.Sprintf(format, args...))
-	})
-	l.With("request_id", "r1").Info("http request", "route", "/healthz", "status", 200)
-	if len(lines) != 1 {
-		t.Fatalf("lines = %v", lines)
-	}
-	for _, want := range []string{"INFO", "http request", "request_id=r1", "route=/healthz", "status=200"} {
-		if !strings.Contains(lines[0], want) {
-			t.Fatalf("line %q missing %q", lines[0], want)
-		}
 	}
 }
 

@@ -17,7 +17,6 @@ import (
 	"time"
 
 	"repro/internal/fl"
-	"repro/internal/telemetry"
 )
 
 // syntheticUtility is a deterministic, mask-pure utility cheap enough to
@@ -418,21 +417,21 @@ func TestSyntheticWorkerInvarianceShort(t *testing.T) {
 	}
 }
 
+// TestObsWiring: the oracle's counters observe every coalition training
+// and every cache-served utility.
 func TestObsWiring(t *testing.T) {
 	o := newSyntheticOracle(6, syntheticUtility)
-	obs := NewObs(telemetry.NewRegistry())
-	o.Obs = obs
 	if err := o.EvalBatch(PlanLeaveOneOut(6)); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := o.Utility(fullMask(6)); err != nil {
 		t.Fatal(err)
 	}
-	if got := obs.Evals.Value(); got != 7 {
-		t.Fatalf("obs evals = %d, want 7", got)
+	if got := o.Evals(); got != 7 {
+		t.Fatalf("evals = %d, want 7", got)
 	}
-	if got := obs.CacheHits.Value(); got != 1 {
-		t.Fatalf("obs cache hits = %d, want 1", got)
+	if got := o.CacheHits(); got != 1 {
+		t.Fatalf("cache hits = %d, want 1", got)
 	}
 }
 

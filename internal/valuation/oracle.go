@@ -16,7 +16,6 @@ import (
 	"runtime"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"repro/internal/dataset"
 	"repro/internal/fl"
@@ -76,10 +75,6 @@ type Oracle struct {
 
 	evals atomic.Int64
 	hits  atomic.Int64
-
-	// Obs receives engine telemetry; nil disables all of it (every
-	// instrument is a nil-safe no-op).
-	Obs *Obs
 
 	// EmptyUtility is v(∅); defaults to majority-class accuracy on the test
 	// set (the best label-only guess, ~50% on balanced tasks as in the
@@ -153,15 +148,6 @@ func (o *Oracle) initShards() {
 	}
 }
 
-// obs returns the instrument set, falling back to the shared inert one so
-// the hot path never nil-checks more than a pointer.
-func (o *Oracle) obs() *Obs {
-	if o.Obs != nil {
-		return o.Obs
-	}
-	return inertObs
-}
-
 // Evals reports the coalition trainings performed so far (cache misses).
 func (o *Oracle) Evals() int { return int(o.evals.Load()) }
 
@@ -212,7 +198,6 @@ func (o *Oracle) Utility(mask uint64) (float64, error) {
 	if u, ok := sh.done[mask]; ok {
 		sh.mu.Unlock()
 		o.hits.Add(1)
-		o.obs().CacheHits.Inc()
 		return u, nil
 	}
 	if c, ok := sh.inflight[mask]; ok {
@@ -220,7 +205,6 @@ func (o *Oracle) Utility(mask uint64) (float64, error) {
 		<-c.done
 		if c.err == nil {
 			o.hits.Add(1)
-			o.obs().DedupWaits.Inc()
 		}
 		return c.val, c.err
 	}
@@ -245,9 +229,6 @@ func (o *Oracle) Utility(mask uint64) (float64, error) {
 func (o *Oracle) train(mask uint64) (float64, error) {
 	o.acquire()
 	defer o.release()
-	o.obs().InFlight.Add(1)
-	defer o.obs().InFlight.Add(-1)
-	start := time.Now()
 
 	var u float64
 	if o.trainFn != nil {
@@ -269,8 +250,6 @@ func (o *Oracle) train(mask uint64) (float64, error) {
 		u = model.Accuracy(o.testX, o.testY)
 	}
 	o.evals.Add(1)
-	o.obs().Evals.Inc()
-	o.obs().TrainSeconds.ObserveSince(start)
 	return u, nil
 }
 
@@ -280,7 +259,6 @@ func (o *Oracle) train(mask uint64) (float64, error) {
 // earliest failing mask in plan order, so error reporting is deterministic
 // regardless of scheduling.
 func (o *Oracle) EvalBatch(plan []uint64) error {
-	start := time.Now()
 	seen := make(map[uint64]struct{}, len(plan))
 	distinct := plan[:0:0]
 	for _, m := range plan {
@@ -300,7 +278,6 @@ func (o *Oracle) EvalBatch(plan []uint64) error {
 		}(i, m)
 	}
 	wg.Wait()
-	o.obs().BatchSeconds.ObserveSince(start)
 	for _, err := range errs {
 		if err != nil {
 			return err

@@ -1,14 +1,16 @@
 // Command metricsmoke is the check.sh observability smoke test: it boots a
-// ctflsrv binary on an ephemeral port, scrapes GET /metrics, verifies every
-// required metric family is exposed, checks /v1/events records a request
-// under the X-Request-Id it was sent with, and shuts the server down
-// gracefully via SIGTERM.
+// ctflsrv binary on an ephemeral port, verifies every required metric
+// family is exposed in both forms of the telemetry registry (GET /metrics
+// and the telemetry block of GET /v1/debug/bundle), checks /v1/events
+// records a request under the X-Request-Id it was sent with, and shuts the
+// server down gracefully via SIGTERM.
 //
 // Usage: metricsmoke -bin ./path/to/ctflsrv
 package main
 
 import (
 	"bufio"
+	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
@@ -22,7 +24,7 @@ import (
 
 // requiredFamilies is the metric catalog contract: one representative name
 // per instrumented subsystem (HTTP routes, job engine, durable store,
-// tracer, training, and the resilience layer).
+// tracer, streaming valuation, and the resilience layer).
 var requiredFamilies = []string{
 	"ctfl_http_requests_total",
 	"ctfl_http_request_seconds",
@@ -30,14 +32,11 @@ var requiredFamilies = []string{
 	"ctfl_jobs_submitted_total",
 	"ctfl_jobs_queue_depth",
 	"ctfl_jobs_wait_seconds",
-	"ctfl_jobs_retries_total",
 	"ctfl_jobs_quarantined_total",
 	"ctfl_store_append_seconds",
 	"ctfl_store_wal_bytes",
 	"ctfl_tracer_queries_total",
 	"ctfl_tracer_trace_seconds",
-	"ctfl_train_epochs_total",
-	"ctfl_train_epoch_seconds",
 	"ctfl_server_degraded",
 	"ctfl_rounds_ingested_total",
 	"ctfl_rounds_skipped_total",
@@ -109,11 +108,27 @@ func main() {
 	if !strings.Contains(version, `"go_version"`) {
 		fatalf("metricsmoke: /v1/version lacks build identity: %s", version)
 	}
-	bundle := get(base+"/v1/debug/bundle", "")
-	if !strings.Contains(bundle, `"slo"`) || !strings.Contains(bundle, `"events"`) {
-		fatalf("metricsmoke: /v1/debug/bundle incomplete")
+	var bundle struct {
+		SLO       []json.RawMessage `json:"slo"`
+		Events    []json.RawMessage `json:"events"`
+		Telemetry map[string]any    `json:"telemetry"`
 	}
-	fmt.Println("metricsmoke: /v1/version and /v1/debug/bundle answer")
+	if err := json.Unmarshal([]byte(get(base+"/v1/debug/bundle", "")), &bundle); err != nil {
+		fatalf("metricsmoke: /v1/debug/bundle: %v", err)
+	}
+	if len(bundle.SLO) == 0 || len(bundle.Events) == 0 {
+		fatalf("metricsmoke: /v1/debug/bundle incomplete: %d SLOs, %d events", len(bundle.SLO), len(bundle.Events))
+	}
+	missing = missing[:0]
+	for _, name := range requiredFamilies {
+		if !hasFamily(bundle.Telemetry, name) {
+			missing = append(missing, name)
+		}
+	}
+	if len(missing) > 0 {
+		fatalf("metricsmoke: /v1/debug/bundle telemetry missing families: %s", strings.Join(missing, ", "))
+	}
+	fmt.Printf("metricsmoke: /v1/version answers; /v1/debug/bundle carries all %d required families\n", len(requiredFamilies))
 
 	if err := cmd.Process.Signal(syscall.SIGTERM); err != nil {
 		fatalf("metricsmoke: signalling server: %v", err)
@@ -129,6 +144,20 @@ func main() {
 		fatalf("metricsmoke: server did not drain within %s", *timeout)
 	}
 	fmt.Println("metricsmoke: OK")
+}
+
+// hasFamily reports whether a registry snapshot holds the family, as a bare
+// series or as any labelled series of it.
+func hasFamily(snapshot map[string]any, family string) bool {
+	if _, ok := snapshot[family]; ok {
+		return true
+	}
+	for name := range snapshot {
+		if strings.HasPrefix(name, family+"{") {
+			return true
+		}
+	}
+	return false
 }
 
 // awaitListening scans the server's log for the startup line and extracts
