@@ -252,7 +252,7 @@ type traceScratch struct {
 	matched []int32
 }
 
-func (t *Tracer) getScratch() *traceScratch  { return t.scratch.Get().(*traceScratch) }
+func (t *Tracer) getScratch() *traceScratch   { return t.scratch.Get().(*traceScratch) }
 func (t *Tracer) putScratch(sc *traceScratch) { t.scratch.Put(sc) }
 
 // NumParticipants returns the number of indexed participants.

@@ -84,11 +84,11 @@ func (t *Table) Split(r *rand.Rand, testFrac float64) (train, test *Table) {
 	return pick(idx[nTest:]), pick(idx[:nTest])
 }
 
-// Model is a one-vs-rest ensemble of binary logical networks.
+// Model is a one-vs-rest ensemble of binary logical networks, each held as
+// its extracted rule set.
 type Model struct {
-	enc    *dataset.Encoder
-	models []*nn.Model
-	sets   []*rules.Set
+	enc  *dataset.Encoder
+	sets []*rules.Set
 }
 
 // Train fits one binary logical network per class on the training table.
@@ -104,7 +104,6 @@ func Train(t *Table, enc *dataset.Encoder, cfg nn.Config) (*Model, error) {
 		}
 		xs, ys := enc.EncodeTable(t.Binary(k))
 		bm.Train(xs, ys)
-		m.models = append(m.models, bm)
 		m.sets = append(m.sets, rules.Extract(bm, enc))
 	}
 	return m, nil
@@ -118,9 +117,9 @@ func (m *Model) Predict(values []float64) int {
 // predictEncoded is Predict on an already-encoded feature vector, letting
 // hot paths encode each instance exactly once.
 func (m *Model) predictEncoded(x []float64) int {
-	best, bestScore := 0, m.models[0].Score(x)
-	for k := 1; k < len(m.models); k++ {
-		if s := m.models[k].Score(x); s > bestScore {
+	best, bestScore := 0, m.sets[0].Binarized().Score(x)
+	for k := 1; k < len(m.sets); k++ {
+		if s := m.sets[k].Binarized().Score(x); s > bestScore {
 			best, bestScore = k, s
 		}
 	}
@@ -163,7 +162,7 @@ type Estimator struct {
 // NewEstimator indexes the participants under the trained model.
 func NewEstimator(m *Model, parts []*Participant, cfg core.Config) *Estimator {
 	e := &Estimator{model: m, numParts: len(parts), cfg: cfg}
-	for k := range m.models {
+	for k := range m.sets {
 		var uploads []core.TrainingUpload
 		for pi, p := range parts {
 			acts, _ := m.sets[k].ActivationsTable(p.Data.Binary(k))

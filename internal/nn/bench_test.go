@@ -72,8 +72,9 @@ func BenchmarkScoreAndActivations(b *testing.B) {
 	xs, ys := benchData(4000, 80, 2)
 	m := benchModel(b, 80)
 	m.TrainEpochs(xs[:500], ys[:500], 2)
+	bin := m.Binarize()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_, _ = m.ScoreAndActivationsBatch(xs)
+		_, _ = bin.ScoreAndActivationsBatch(xs)
 	}
 }

@@ -7,82 +7,76 @@ import (
 
 // Binarized is a compiled snapshot of the deployed (binarized) model: each
 // logical node keeps only the input indices its weight selects (w > 0.5), so
-// evaluation is pure boolean logic — no float products over the full input
-// width. Over {0,1} inputs (which is all the predicate encoder ever emits)
-// its scores and rule activations are bit-identical to
-// Model.forward(x, true, ...): conjunction/disjunction of binary inputs
-// equals the discrete soft-logic product, and the head sum skips exactly
-// the zero terms, which cannot change an IEEE sum.
-// TestPropertyBinarizedMatchesForward pins the equivalence down on random
-// models.
+// evaluation touches the selected inputs alone instead of scanning every
+// weight of every node. It is the package's only discrete evaluator: it
+// serves inference (/v1/predict, rule activations for the tracer), the
+// model's batch entry points (Accuracy, CountCorrect, PredictBatch, each of
+// which compiles a pooled snapshot per call) and grafted training (one
+// Model-owned snapshot recompiled per batch).
 //
-// The snapshot is immutable: training the model further does not update it.
-// Build it once after training (rule extraction does this) and reuse it for
-// all inference.
+// The snapshot is immutable once compiled: training the model further does
+// not update it. Build it once after training (rule extraction does this)
+// and reuse it for all inference; it is safe for concurrent use.
 type Binarized struct {
 	inDim   int
 	ruleDim int
-	layers  []binLayer
+	// layers shares the model's layer shapes. Evaluation reads only their
+	// node counts, never the weights they alias, so the snapshot does not
+	// track later training.
+	layers []*logicalLayer
+	// slab concatenates every node's selected input indices in rule-vector
+	// order; sel[n] is node n's view of it.
+	slab    []int32
+	sel     [][]int32
 	headW   []float64
 	headB   float64
 	workers int
 
-	pool sync.Pool // *binBuffers
-}
-
-type binLayer struct {
-	nodes []binNode
-}
-
-type binNode struct {
-	conj bool
-	sel  []int32 // selected indices into the layer's input vector
-}
-
-type binBuffers struct {
-	layerIn  [][]float64
-	layerOut [][]float64
-	rules    []float64
-	row      []float64 // float32→float64 conversion scratch for wire inputs
+	bufs sync.Pool // *fwdBuffers
 }
 
 // Binarize compiles the model's current binarized structure. The returned
 // evaluator snapshots the weights; it does not track later training.
 func (m *Model) Binarize() *Binarized {
-	b := &Binarized{
-		inDim:   m.inDim,
-		ruleDim: m.ruleDim,
-		headW:   append([]float64(nil), m.headW...),
-		headB:   m.flat[len(m.flat)-1],
-		workers: m.workerCount(),
+	b := new(Binarized)
+	b.compile(m)
+	return b
+}
+
+// compile fills b from m's current weights, reusing b's storage: once the
+// slab has grown to the model's selection size it allocates nothing. This is
+// the only place a logical weight is compared with the 0.5 binarization
+// threshold.
+func (b *Binarized) compile(m *Model) {
+	b.inDim, b.ruleDim, b.layers = m.inDim, m.ruleDim, m.layers
+	b.workers = m.workerCount()
+	b.headW = append(b.headW[:0], m.headW...)
+	b.headB = m.HeadBias()
+	if b.sel == nil {
+		b.sel = make([][]int32, m.ruleDim)
 	}
+	b.slab = b.slab[:0]
+	ni := 0
 	for _, l := range m.layers {
-		bl := binLayer{nodes: make([]binNode, l.size())}
 		for n := 0; n < l.size(); n++ {
-			node := binNode{conj: l.nodeKind(n) == nodeConj}
+			start := len(b.slab)
 			for i, w := range l.row(n) {
 				if w > 0.5 {
-					node.sel = append(node.sel, int32(i))
+					b.slab = append(b.slab, int32(i))
 				}
 			}
-			bl.nodes[n] = node
+			b.sel[ni] = b.slab[start:]
+			ni++
 		}
-		b.layers = append(b.layers, bl)
 	}
-	b.pool = sync.Pool{New: func() any {
-		buf := &binBuffers{
-			rules: make([]float64, b.ruleDim),
-			row:   make([]float64, b.inDim),
-		}
-		prev := b.inDim
-		for _, l := range b.layers {
-			buf.layerIn = append(buf.layerIn, make([]float64, prev))
-			buf.layerOut = append(buf.layerOut, make([]float64, len(l.nodes)))
-			prev = b.inDim + len(l.nodes)
-		}
-		return buf
-	}}
-	return b
+	// Growing the slab may have moved it: cut every view again from the
+	// final array, so all of them share it.
+	start := 0
+	for n, sel := range b.sel {
+		end := start + len(sel)
+		b.sel[n] = b.slab[start:end:end]
+		start = end
+	}
 }
 
 // InDim returns the expected input width.
@@ -91,82 +85,101 @@ func (b *Binarized) InDim() int { return b.inDim }
 // RuleDim returns the number of rule activations produced.
 func (b *Binarized) RuleDim() int { return b.ruleDim }
 
-// eval computes the score and fills buf.rules with the {0,1} activations.
-// Inputs must be {0,1} valued (the predicate encoder's output domain).
-func (b *Binarized) eval(x []float64, buf *binBuffers) float64 {
+func (b *Binarized) getBuf() *fwdBuffers {
+	if buf, ok := b.bufs.Get().(*fwdBuffers); ok {
+		return buf
+	}
+	return newBuffers(b.ruleDim, b.layers)
+}
+
+// eval computes the deployed model's pre-threshold score for x and fills
+// buf.rules with every logical node's output. A conjunction multiplies its
+// selected inputs and stops at the first zero; a disjunction fires on any
+// positive selected input; the head adds w·r over every rule. On {0,1}
+// inputs, which is all the predicate encoder emits, every node output is
+// {0,1} as well.
+func (b *Binarized) eval(x []float64, buf *fwdBuffers) float64 {
 	if len(x) != b.inDim {
 		panic(fmt.Sprintf("nn: input width %d, want %d", len(x), b.inDim))
 	}
+	in := x
 	ri := 0
-	for k := range b.layers {
-		in := buf.layerIn[k]
-		copy(in, x)
+	for k, l := range b.layers {
 		if k > 0 {
-			copy(in[b.inDim:], buf.layerOut[k-1])
+			// Skip connection: layer k sees x followed by layer k-1's outputs.
+			in = buf.layerIn[k]
+			copy(in, x)
+			copy(in[b.inDim:], buf.rules[ri-b.layers[k-1].size():ri])
 		}
-		out := buf.layerOut[k]
-		for n, node := range b.layers[k].nodes {
-			if node.conj {
-				v := 1.0
-				for _, i := range node.sel {
-					if in[i] == 0 {
-						v = 0
-						break
-					}
+		// Rule index ri is also the node index. Each layer lists its
+		// conjunctions first; one loop per kind keeps the kind test out of
+		// the node loop.
+		out := buf.rules[ri : ri+l.size()]
+		sel := b.sel[ri : ri+l.size()]
+		conj, disj := out[:l.numConj], out[l.numConj:]
+		for n, idx := range sel[:l.numConj] {
+			v := 1.0
+			for _, i := range idx {
+				v *= in[i]
+				if v == 0 {
+					v = 0 // +0 even when a negative input made it -0
+					break
 				}
-				out[n] = v
-			} else {
-				v := 0.0
-				for _, i := range node.sel {
-					if in[i] != 0 {
-						v = 1
-						break
-					}
-				}
-				out[n] = v
 			}
+			conj[n] = v
 		}
-		copy(buf.rules[ri:ri+len(out)], out)
-		ri += len(out)
+		for n, idx := range sel[l.numConj:] {
+			v := 0.0
+			for _, i := range idx {
+				if in[i] > 0 {
+					v = 1
+					break
+				}
+			}
+			disj[n] = v
+		}
+		ri += l.size()
 	}
 	s := b.headB
+	headW := b.headW[:len(buf.rules)]
 	for j, r := range buf.rules {
-		if r != 0 {
-			s += b.headW[j]
-		}
+		s += headW[j] * r
 	}
 	return s
 }
 
-// Score returns the deployed model's pre-threshold score for x.
+// Score returns the deployed model's pre-threshold score for x: a positive
+// score means the positive class wins the rule vote of Eq. 3.
 func (b *Binarized) Score(x []float64) float64 {
-	buf := b.pool.Get().(*binBuffers)
+	buf := b.getBuf()
 	s := b.eval(x, buf)
-	b.pool.Put(buf)
+	b.bufs.Put(buf)
 	return s
 }
 
 // RuleActivations fills dst (length RuleDim, allocated when nil) with the
-// {0,1} rule-activation vector for x and returns it.
+// rule-activation vector for x and returns it. This is the vector CTFL's
+// tracer consumes.
 func (b *Binarized) RuleActivations(x []float64, dst []float64) []float64 {
 	if dst == nil {
 		dst = make([]float64, b.ruleDim)
 	}
-	buf := b.pool.Get().(*binBuffers)
+	buf := b.getBuf()
 	b.eval(x, buf)
 	copy(dst, buf.rules)
-	b.pool.Put(buf)
+	b.bufs.Put(buf)
 	return dst
 }
 
-// ScoreAndActivationsBatch computes scores and rule-activation rows for
-// every input in one parallel pass, mirroring the Model method of the same
-// name but on the compiled evaluator.
+// ScoreAndActivationsBatch computes, in one parallel pass over xs, the
+// scores and rule-activation rows of every input.
 func (b *Binarized) ScoreAndActivationsBatch(xs [][]float64) (scores []float64, acts [][]float64) {
 	scores = make([]float64, len(xs))
 	acts = make([][]float64, len(xs))
+	// One contiguous slab for all activation rows keeps the result cache
+	// friendly and cuts per-row allocations.
 	slab := make([]float64, len(xs)*b.ruleDim)
-	b.parallelOver(len(xs), func(lo, hi int, buf *binBuffers) {
+	b.parallelOver(len(xs), func(lo, hi int, buf *fwdBuffers) {
 		for i := lo; i < hi; i++ {
 			scores[i] = b.eval(xs[i], buf)
 			row := slab[i*b.ruleDim : (i+1)*b.ruleDim : (i+1)*b.ruleDim]
@@ -182,8 +195,7 @@ func (b *Binarized) ScoreAndActivationsBatch(xs [][]float64) (scores []float64, 
 // dst[:n]. This is the /v1/predict hot path: rows convert into pooled
 // scratch and evaluation reuses the same pooled buffers as Score, so the
 // steady state allocates nothing (pinned by
-// TestBinarizedScoreBatchZeroAlloc). Inputs must be {0,1} valued, like
-// every other Binarized entry point. It panics if len(rows) is not a
+// TestBinarizedScoreBatchZeroAlloc). It panics if len(rows) is not a
 // multiple of the input width or dst is too short — callers validate the
 // wire payload first.
 func (b *Binarized) ScoreBatchFloat32(rows []float32, dst []float64) {
@@ -201,27 +213,46 @@ func (b *Binarized) ScoreBatchFloat32(rows []float32, dst []float64) {
 	// allocates the capture, and this path's whole point is allocating
 	// nothing.
 	if b.workers <= 1 || n == 1 {
-		buf := b.pool.Get().(*binBuffers)
+		buf := b.getBuf()
 		b.scoreRangeFloat32(rows, dst, 0, n, buf)
-		b.pool.Put(buf)
+		b.bufs.Put(buf)
 		return
 	}
-	b.parallelOver(n, func(lo, hi int, buf *binBuffers) {
+	b.parallelOver(n, func(lo, hi int, buf *fwdBuffers) {
 		b.scoreRangeFloat32(rows, dst, lo, hi, buf)
 	})
 }
 
-func (b *Binarized) scoreRangeFloat32(rows []float32, dst []float64, lo, hi int, buf *binBuffers) {
+func (b *Binarized) scoreRangeFloat32(rows []float32, dst []float64, lo, hi int, buf *fwdBuffers) {
+	// eval reads layer 0's input straight from x, so that slot is free to
+	// hold the converted row.
+	x := buf.layerIn[0]
 	for i := lo; i < hi; i++ {
-		row := rows[i*b.inDim : (i+1)*b.inDim]
-		for j, v := range row {
-			buf.row[j] = float64(v)
+		for j, v := range rows[i*b.inDim : (i+1)*b.inDim] {
+			x[j] = float64(v)
 		}
-		dst[i] = b.eval(buf.row, buf)
+		dst[i] = b.eval(x, buf)
 	}
 }
 
-func (b *Binarized) parallelOver(n int, fn func(lo, hi int, buf *binBuffers)) {
+// countCorrect returns how many rows of xs the snapshot labels as ys.
+func (b *Binarized) countCorrect(xs [][]float64, ys []int, buf *fwdBuffers) int {
+	ok := 0
+	for i, x := range xs {
+		p := 0
+		if b.eval(x, buf) >= 0 {
+			p = 1
+		}
+		if p == ys[i] {
+			ok++
+		}
+	}
+	return ok
+}
+
+// parallelOver splits n items across the snapshot's workers, giving each
+// worker pooled buffers, and calls fn with the worker's half-open range.
+func (b *Binarized) parallelOver(n int, fn func(lo, hi int, buf *fwdBuffers)) {
 	if n == 0 {
 		return
 	}
@@ -230,9 +261,9 @@ func (b *Binarized) parallelOver(n int, fn func(lo, hi int, buf *binBuffers)) {
 		workers = n
 	}
 	if workers <= 1 {
-		buf := b.pool.Get().(*binBuffers)
+		buf := b.getBuf()
 		fn(0, n, buf)
-		b.pool.Put(buf)
+		b.bufs.Put(buf)
 		return
 	}
 	var wg sync.WaitGroup
@@ -249,10 +280,36 @@ func (b *Binarized) parallelOver(n int, fn func(lo, hi int, buf *binBuffers)) {
 		wg.Add(1)
 		go func(lo, hi int) {
 			defer wg.Done()
-			buf := b.pool.Get().(*binBuffers)
+			buf := b.getBuf()
 			fn(lo, hi, buf)
-			b.pool.Put(buf)
+			b.bufs.Put(buf)
 		}(lo, hi)
 	}
 	wg.Wait()
+}
+
+// RuleSpec describes one logical node of the deployed model for the rule
+// extractor: which layer it lives in, its kind, and which input indices its
+// binarized weights select.
+type RuleSpec struct {
+	Layer    int
+	Node     int
+	Conj     bool
+	Selected []int // indices into the layer's input vector, ascending
+}
+
+// RuleSpecs enumerates every logical node's binarized structure, in rule
+// vector order (layer by layer).
+func (b *Binarized) RuleSpecs() []RuleSpec {
+	specs := make([]RuleSpec, 0, b.ruleDim)
+	for k, l := range b.layers {
+		for n := 0; n < l.size(); n++ {
+			spec := RuleSpec{Layer: k, Node: n, Conj: l.nodeKind(n) == nodeConj}
+			for _, i := range b.sel[len(specs)] {
+				spec.Selected = append(spec.Selected, int(i))
+			}
+			specs = append(specs, spec)
+		}
+	}
+	return specs
 }

@@ -1,15 +1,18 @@
 package nn
 
 import (
+	"math"
 	"math/rand"
+	"sync"
 	"testing"
 	"testing/quick"
 )
 
 // TestPropertyBinarizedMatchesForward proves the compiled evaluator is
-// bit-identical to the model's discrete forward pass on {0,1} inputs:
-// same scores, same rule-activation vectors, across random architectures,
-// random (trained) weights and random inputs.
+// bit-identical to the uncompiled discrete forward pass (refForward): same
+// scores, same rule-activation vectors and the same labels through the
+// model's batch entry points, across random architectures, random (trained)
+// weights, and both {0,1} and real-valued inputs.
 func TestPropertyBinarizedMatchesForward(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
@@ -31,32 +34,48 @@ func TestPropertyBinarizedMatchesForward(t *testing.T) {
 			panic(err)
 		}
 		m.Train(xs, ys)
+		// Real-valued rows, negative and above 1 included, with exact zeros
+		// mixed in so conjunctions still take their early exit.
+		for i := 0; i < 20; i++ {
+			x := make([]float64, dim)
+			for j := range x {
+				if r.Intn(4) != 0 {
+					x[j] = 3*r.Float64() - 1
+				}
+			}
+			xs = append(xs, x)
+			ys = append(ys, r.Intn(2))
+		}
 		b := m.Binarize()
+		same := func(x, y float64) bool { return math.Float64bits(x) == math.Float64bits(y) }
 
-		wantScores, wantActs := m.ScoreAndActivationsBatch(xs)
-		gotScores, gotActs := b.ScoreAndActivationsBatch(xs)
-		for i := range xs {
-			if gotScores[i] != wantScores[i] {
+		scores, acts := b.ScoreAndActivationsBatch(xs)
+		pred := m.PredictBatch(xs)
+		correct := 0
+		for i, x := range xs {
+			want, wantActs := refForward(m, x, true)
+			if !same(scores[i], want) || !same(b.Score(x), want) {
 				return false
 			}
-			for j := range wantActs[i] {
-				if gotActs[i][j] != wantActs[i][j] {
+			one := b.RuleActivations(x, nil)
+			for j := range wantActs {
+				if !same(acts[i][j], wantActs[j]) || !same(one[j], wantActs[j]) {
 					return false
 				}
 			}
-			// Single-instance paths must agree too.
-			if b.Score(xs[i]) != m.Score(xs[i]) {
+			label := 0
+			if want >= 0 {
+				label = 1
+			}
+			if pred[i] != label {
 				return false
 			}
-			one := b.RuleActivations(xs[i], nil)
-			ref := m.RuleActivations(xs[i], nil)
-			for j := range ref {
-				if one[j] != ref[j] {
-					return false
-				}
+			if label == ys[i] {
+				correct++
 			}
 		}
-		return true
+		return m.CountCorrect(xs, ys) == correct &&
+			m.Accuracy(xs, ys) == float64(correct)/float64(len(xs))
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
 		t.Fatal(err)
@@ -83,4 +102,58 @@ func TestBinarizedSnapshot(t *testing.T) {
 			t.Fatalf("snapshot drifted at row %d", i)
 		}
 	}
+}
+
+// TestSharedModelInferenceConcurrent calls the model's batch entry points
+// and its Binarize snapshot from several goroutines at once. Each model call
+// compiles its own pooled snapshot, so every result must equal a serial run;
+// run under -race this also proves the goroutines share no mutable state.
+func TestSharedModelInferenceConcurrent(t *testing.T) {
+	xs, ys := goldenData(120, 16, 31)
+	m, err := New(16, Config{Hidden: []int{8, 6}, Epochs: 2, Grafting: true, Seed: 4, Workers: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	m.Train(xs, ys)
+	b := m.Binarize()
+	wantAcc, wantOK, wantPred := m.Accuracy(xs, ys), m.CountCorrect(xs, ys), m.PredictBatch(xs)
+	wantScores, _ := b.ScoreAndActivationsBatch(xs)
+	rows := make([]float32, 0, len(xs)*16)
+	for _, x := range xs {
+		for _, v := range x {
+			rows = append(rows, float32(v))
+		}
+	}
+
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(model bool) {
+			defer wg.Done()
+			for it := 0; it < 4; it++ {
+				if model {
+					if acc := m.Accuracy(xs, ys); acc != wantAcc {
+						t.Errorf("Accuracy = %v, serial %v", acc, wantAcc)
+					}
+					if ok := m.CountCorrect(xs, ys); ok != wantOK {
+						t.Errorf("CountCorrect = %d, serial %d", ok, wantOK)
+					}
+					for i, p := range m.PredictBatch(xs) {
+						if p != wantPred[i] {
+							t.Errorf("PredictBatch row %d = %d, serial %d", i, p, wantPred[i])
+						}
+					}
+					continue
+				}
+				dst := make([]float64, len(xs))
+				b.ScoreBatchFloat32(rows, dst)
+				for i, s := range dst {
+					if s != wantScores[i] || b.Score(xs[i]) != wantScores[i] {
+						t.Errorf("snapshot score row %d = %v, serial %v", i, s, wantScores[i])
+					}
+				}
+			}
+		}(g%2 == 0)
+	}
+	wg.Wait()
 }

@@ -1,13 +1,16 @@
 package nn
 
-// Equivalence tests for the flat-parameter training kernel. The fused
-// regularize+Adam+clamp step is checked element-for-element against a
-// straight port of the unfused seed sequence (regularize the gradient, run
-// a plain Adam update, clamp the logical weights), and full training runs
-// must be bit-deterministic across repeats despite buffer pooling and
-// worker parallelism. Together with TestGoldenTraining (which pins hashes
-// captured from the pre-overhaul implementation) this establishes the
-// overhaul changed performance only, never a single output bit.
+// Equivalence tests for the flat-parameter training kernel and the compiled
+// evaluator. The fused regularize+Adam+clamp step is checked
+// element-for-element against a straight port of the unfused seed sequence
+// (regularize the gradient, run a plain Adam update, clamp the logical
+// weights), and full training runs must be bit-deterministic across repeats
+// despite buffer pooling and worker parallelism. refForward is the
+// uncompiled forward pass that tests the continuous gradients and the
+// compiled discrete evaluator against. Together with TestGoldenTraining
+// (which pins hashes captured from the pre-overhaul implementation) this
+// establishes the overhaul changed performance only, never a single output
+// bit.
 
 import (
 	"math"
@@ -15,6 +18,69 @@ import (
 	"testing"
 	"testing/quick"
 )
+
+// refForward is the uncompiled forward pass: it returns x's pre-sigmoid
+// score and every logical node's output. With discrete set the logical
+// weights are binarized at 0.5 (the deployed model); otherwise the soft
+// continuous activations of Eq. 7 are used.
+func refForward(m *Model, x []float64, discrete bool) (score float64, rules []float64) {
+	in := x
+	for k, l := range m.layers {
+		if k > 0 {
+			// Skip connection: layer k sees x followed by layer k-1's outputs.
+			in = append(append([]float64(nil), x...), rules[len(rules)-m.layers[k-1].size():]...)
+		}
+		for n := 0; n < l.size(); n++ {
+			if l.nodeKind(n) == nodeConj {
+				rules = append(rules, conjForward(in, l.row(n), discrete))
+			} else {
+				rules = append(rules, disjForward(in, l.row(n), discrete))
+			}
+		}
+	}
+	score = m.HeadBias()
+	for j, r := range rules {
+		score += m.headW[j] * r
+	}
+	return score, rules
+}
+
+// conjForward computes Conj(x,w) = prod_i (1 - w_i (1 - x_i)).
+func conjForward(x, w []float64, discrete bool) float64 {
+	p := 1.0
+	if discrete {
+		for i, xi := range x {
+			if w[i] > 0.5 {
+				p *= xi
+				if p == 0 {
+					return 0
+				}
+			}
+		}
+		return p
+	}
+	for i, xi := range x {
+		p *= 1 - w[i]*(1-xi)
+	}
+	return p
+}
+
+// disjForward computes Disj(x,w) = 1 - prod_i (1 - x_i w_i).
+func disjForward(x, w []float64, discrete bool) float64 {
+	p := 1.0
+	if discrete {
+		for i, xi := range x {
+			if w[i] > 0.5 && xi > 0 {
+				return 1
+			}
+		}
+		return 1 - p
+	}
+	for i, xi := range x {
+		p *= 1 - xi*w[i]
+	}
+	return 1 - p
+}
 
 // referenceStep is the seed's unfused update: regularize a copy of the
 // gradient, apply Adam over the full vector, then clamp logical weights to

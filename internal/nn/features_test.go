@@ -56,7 +56,7 @@ func TestL1LogicPrunesOperands(t *testing.T) {
 		}
 		m.Train(xorXS, xorYS)
 		n := 0
-		for _, spec := range m.RuleSpecs() {
+		for _, spec := range m.Binarize().RuleSpecs() {
 			n += len(spec.Selected)
 		}
 		return n
@@ -108,7 +108,7 @@ func TestPredictNegativeBranch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Force a strongly negative score so Predict returns 0.
+	// Force a strongly negative score so the deployed model predicts 0.
 	p := m.Params()
 	for i := range p {
 		p[i] = 0
@@ -117,8 +117,8 @@ func TestPredictNegativeBranch(t *testing.T) {
 	if err := m.SetParams(p); err != nil {
 		t.Fatal(err)
 	}
-	if got := m.Predict([]float64{1, 0}); got != 0 {
-		t.Fatalf("Predict = %d, want 0", got)
+	if got := m.PredictBatch([][]float64{{1, 0}}); got[0] != 0 {
+		t.Fatalf("PredictBatch = %v, want [0]", got)
 	}
 }
 
@@ -151,12 +151,13 @@ func TestScoreAndActivationsBatchMatchesSingle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	scores, acts := m.ScoreAndActivationsBatch(xorXS)
+	b := m.Binarize()
+	scores, acts := b.ScoreAndActivationsBatch(xorXS)
 	for i, x := range xorXS {
-		if scores[i] != m.Score(x) {
-			t.Fatalf("row %d batch score %v vs single %v", i, scores[i], m.Score(x))
+		if scores[i] != b.Score(x) {
+			t.Fatalf("row %d batch score %v vs single %v", i, scores[i], b.Score(x))
 		}
-		single := m.RuleActivations(x, nil)
+		single := b.RuleActivations(x, nil)
 		for j := range single {
 			if acts[i][j] != single[j] {
 				t.Fatalf("row %d activation %d mismatch", i, j)

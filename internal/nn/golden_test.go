@@ -80,11 +80,12 @@ func TestGoldenForward(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	b := m.Binarize()
 	h := uint32(0)
 	acts := make([]float64, m.RuleDim())
 	for _, x := range xs {
-		h = hashFloats(h, m.Score(x))
-		h = hashFloats(h, m.RuleActivations(x, acts)...)
+		h = hashFloats(h, b.Score(x))
+		h = hashFloats(h, b.RuleActivations(x, acts)...)
 	}
 	const want = 0x1de83e00
 	if h != want {

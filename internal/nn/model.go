@@ -144,15 +144,16 @@ type Model struct {
 
 	opt *adamState
 
-	// disc is the per-batch compilation of the binarized structure used by
-	// the grafted discrete forward pass; see compileDiscrete. Rebuilt at the
-	// start of every batch (weights are fixed within one), storage reused.
-	disc discSnap
+	// graft is grafted training's discrete evaluator, recompiled at the start
+	// of every batch (weights are fixed within one) with its storage reused.
+	graft Binarized
+	// snaps pools the evaluators that Accuracy, CountCorrect and PredictBatch
+	// compile per call.
+	snaps sync.Pool // *Binarized
 
-	// bufPool and gradPool recycle forward/backprop scratch buffers across
-	// calls, so steady-state batch work allocates nothing. Buffers depend
-	// only on the (immutable) model shape, so pooled entries never go stale.
-	bufPool  sync.Pool
+	// gradPool recycles backprop scratch across calls, so steady-state batch
+	// work allocates nothing. Buffers depend only on the (immutable) model
+	// shape, so pooled entries never go stale.
 	gradPool sync.Pool
 }
 
@@ -228,343 +229,78 @@ func (m *Model) HeadWeights() []float64 { return m.headW }
 // HeadBias returns the linear head bias.
 func (m *Model) HeadBias() float64 { return m.flat[len(m.flat)-1] }
 
-// fwdBuffers holds per-sample forward activations reused across calls.
+// fwdBuffers holds one row's forward activations, reused across calls.
+// rules holds every logical layer's outputs back to back, so layer k's
+// outputs are a sub-slice of it. layerIn[k] is layer k's input vector (x
+// concatenated with layer k-1's outputs); layer 0 reads x directly.
 type fwdBuffers struct {
-	// layerIn[k] is the input vector to layer k (with skip concat),
-	// layerOut[k] its output.
-	layerIn  [][]float64
-	layerOut [][]float64
-	rules    []float64
+	layerIn [][]float64
+	rules   []float64
 }
 
-func (m *Model) newBuffers() *fwdBuffers {
-	b := &fwdBuffers{rules: make([]float64, m.ruleDim)}
-	prev := m.inDim
-	for _, l := range m.layers {
-		b.layerIn = append(b.layerIn, make([]float64, prev))
-		b.layerOut = append(b.layerOut, make([]float64, l.size()))
-		prev = m.inDim + l.size()
+func newBuffers(ruleDim int, layers []*logicalLayer) *fwdBuffers {
+	b := &fwdBuffers{rules: make([]float64, ruleDim)}
+	for _, l := range layers {
+		b.layerIn = append(b.layerIn, make([]float64, l.inDim))
 	}
 	return b
 }
 
-// getBuffers returns pooled forward buffers; release with putBuffers.
-func (m *Model) getBuffers() *fwdBuffers {
-	if b, ok := m.bufPool.Get().(*fwdBuffers); ok {
-		return b
+// snapshot returns a pooled evaluator compiled from the current weights;
+// return it to m.snaps when done. Each call compiles its own, so goroutines
+// sharing the model never share a mutable snapshot.
+func (m *Model) snapshot() *Binarized {
+	b, ok := m.snaps.Get().(*Binarized)
+	if !ok {
+		b = new(Binarized)
 	}
-	return m.newBuffers()
+	b.compile(m)
+	return b
 }
 
-func (m *Model) putBuffers(b *fwdBuffers) { m.bufPool.Put(b) }
-
-// forward computes the score of x. When discrete is true the logical
-// weights are binarized at 0.5 (the deployed model); otherwise the soft
-// continuous activations of Eq. 7 are used. Returns the pre-sigmoid score.
-func (m *Model) forward(x []float64, discrete bool, b *fwdBuffers) float64 {
-	if len(x) != m.inDim {
-		panic(fmt.Sprintf("nn: input width %d, want %d", len(x), m.inDim))
-	}
-	ri := 0
-	for k, l := range m.layers {
-		var in []float64
-		if k == 0 {
-			// Alias the caller's input instead of copying: the buffer entry is
-			// only ever read (backprop partials), never written through.
-			in = x
-			b.layerIn[0] = x
-		} else {
-			in = b.layerIn[k]
-			copy(in, x)
-			copy(in[m.inDim:], b.layerOut[k-1])
-		}
-		out := b.layerOut[k]
-		for n := 0; n < l.size(); n++ {
-			w := l.row(n)
-			if l.nodeKind(n) == nodeConj {
-				out[n] = conjForward(in, w, discrete)
-			} else {
-				out[n] = disjForward(in, w, discrete)
-			}
-		}
-		copy(b.rules[ri:ri+l.size()], out)
-		ri += l.size()
-	}
-	s := m.flat[len(m.flat)-1]
-	for j, r := range b.rules {
-		s += m.headW[j] * r
-	}
-	return s
-}
-
-// discSnap is a compiled snapshot of the binarized network structure: per
-// logical node, the input indices its weight selects (w > 0.5), concatenated
-// into one slab. The grafted discrete forward walks only these indices
-// instead of scanning every weight for every sample — identical multiply /
-// early-exit order to conjForward/disjForward's discrete loops (which also
-// touch only selected elements), so the scores are bit-identical.
-type discSnap struct {
-	sel []int32 // concatenated selected indices, per node
-	off []int32 // node -> [off[n], off[n+1]) into sel; len = ruleDim+1
-}
-
-// compileDiscrete rebuilds the discrete snapshot from the current weights.
-// Called once per batch by batchGrad; amortizes the full weight scan over
-// every sample of the batch. Steady-state it allocates nothing (the slab is
-// reused and only regrows while binarization is still selecting new weights).
-func (m *Model) compileDiscrete() {
-	d := &m.disc
-	d.sel = d.sel[:0]
-	if d.off == nil {
-		d.off = make([]int32, m.ruleDim+1)
-	}
-	ni := 0
-	for _, l := range m.layers {
-		for n := 0; n < l.size(); n++ {
-			for i, w := range l.row(n) {
-				if w > 0.5 {
-					d.sel = append(d.sel, int32(i))
-				}
-			}
-			ni++
-			d.off[ni] = int32(len(d.sel))
-		}
-	}
-}
-
-// forwardDiscrete computes forward(x, true, b) using the compiled snapshot.
-// The per-node products run over the same selected indices in the same
-// ascending order as the discrete conjForward/disjForward loops, with the
-// same early exits, so every output bit matches.
-func (m *Model) forwardDiscrete(x []float64, b *fwdBuffers) float64 {
-	if len(x) != m.inDim {
-		panic(fmt.Sprintf("nn: input width %d, want %d", len(x), m.inDim))
-	}
-	d := &m.disc
-	ni := 0
-	ri := 0
-	for k, l := range m.layers {
-		var in []float64
-		if k == 0 {
-			in = x
-			b.layerIn[0] = x
-		} else {
-			in = b.layerIn[k]
-			copy(in, x)
-			copy(in[m.inDim:], b.layerOut[k-1])
-		}
-		out := b.layerOut[k]
-		for n := 0; n < l.size(); n++ {
-			sel := d.sel[d.off[ni]:d.off[ni+1]]
-			ni++
-			if l.nodeKind(n) == nodeConj {
-				p := 1.0
-				for _, i := range sel {
-					p *= in[i]
-					if p == 0 {
-						p = 0 // conjForward returns literal 0 (+0.0) here
-						break
-					}
-				}
-				out[n] = p
-			} else {
-				v := 0.0
-				for _, i := range sel {
-					if in[i] > 0 {
-						v = 1
-						break
-					}
-				}
-				out[n] = v
-			}
-		}
-		copy(b.rules[ri:ri+l.size()], out)
-		ri += l.size()
-	}
-	s := m.flat[len(m.flat)-1]
-	for j, r := range b.rules {
-		s += m.headW[j] * r
-	}
-	return s
-}
-
-// conjForward computes Conj(x,w) = prod_i (1 - w_i (1 - x_i)). The discrete
-// and continuous loops are split so the mode test is hoisted out of the hot
-// loop; the continuous body stays branch-free (data-dependent skips
-// mispredict on real data and cost more than the multiply they save).
-func conjForward(x, w []float64, discrete bool) float64 {
-	p := 1.0
-	if discrete {
-		for i, xi := range x {
-			if w[i] > 0.5 {
-				p *= xi
-				if p == 0 {
-					return 0
-				}
-			}
-		}
-		return p
-	}
-	for i, xi := range x {
-		p *= 1 - w[i]*(1-xi)
-	}
-	return p
-}
-
-// disjForward computes Disj(x,w) = 1 - prod_i (1 - x_i w_i); loop split as
-// in conjForward.
-func disjForward(x, w []float64, discrete bool) float64 {
-	p := 1.0
-	if discrete {
-		for i, xi := range x {
-			if w[i] > 0.5 && xi > 0 {
-				return 1
-			}
-		}
-		return 1 - p
-	}
-	for i, xi := range x {
-		p *= 1 - xi*w[i]
-	}
-	return 1 - p
-}
-
-// Score returns the deployed (binarized) model's pre-threshold score for x:
-// positive score means the positive class wins the rule vote of Eq. 3.
-func (m *Model) Score(x []float64) float64 {
-	b := m.getBuffers()
-	s := m.forward(x, true, b)
-	m.putBuffers(b)
-	return s
-}
-
-// Predict returns the deployed model's label for x.
-func (m *Model) Predict(x []float64) int {
-	if m.Score(x) >= 0 {
-		return 1
-	}
-	return 0
-}
-
-// PredictBatch labels every row of xs using parallel workers.
+// PredictBatch labels every row of xs with the deployed model, using
+// parallel workers.
 func (m *Model) PredictBatch(xs [][]float64) []int {
 	out := make([]int, len(xs))
-	m.parallelOver(len(xs), func(lo, hi int, buf *fwdBuffers) {
+	b := m.snapshot()
+	b.parallelOver(len(xs), func(lo, hi int, buf *fwdBuffers) {
 		for i := lo; i < hi; i++ {
-			if m.forward(xs[i], true, buf) >= 0 {
+			if b.eval(xs[i], buf) >= 0 {
 				out[i] = 1
 			}
 		}
 	})
+	m.snaps.Put(b)
 	return out
 }
 
-// Accuracy returns the deployed model's accuracy on (xs, ys). Predictions
-// are counted in place rather than materialized: callers like the streaming
-// valuation engine evaluate thousands of coalitions per round, and a
-// per-call prediction slice is pure GC pressure. The integer hit counts are
-// order-independent, so the result is identical at any worker count.
+// Accuracy returns the deployed model's accuracy on (xs, ys), using
+// parallel workers. The integer hit counts are order-independent, so the
+// result is identical at any worker count.
 func (m *Model) Accuracy(xs [][]float64, ys []int) float64 {
 	if len(xs) == 0 {
 		return 0
 	}
+	b := m.snapshot()
 	var ok atomic.Int64
-	m.parallelOver(len(xs), func(lo, hi int, buf *fwdBuffers) {
-		n := 0
-		for i := lo; i < hi; i++ {
-			p := 0
-			if m.forward(xs[i], true, buf) >= 0 {
-				p = 1
-			}
-			if p == ys[i] {
-				n++
-			}
-		}
-		ok.Add(int64(n))
+	b.parallelOver(len(xs), func(lo, hi int, buf *fwdBuffers) {
+		ok.Add(int64(b.countCorrect(xs[lo:hi], ys[lo:hi], buf)))
 	})
+	m.snaps.Put(b)
 	return float64(ok.Load()) / float64(len(xs))
 }
 
 // CountCorrect returns how many rows of xs the deployed model labels as
-// ys. Serial and allocation-free in steady state (pooled forward buffers,
-// no prediction slice, no worker fan-out): the streaming valuation engine's
-// per-coalition scorer, where concurrency already lives above the model and
-// any per-call allocation multiplies across thousands of evaluations.
+// ys. Serial and allocation-free in steady state (pooled snapshot and
+// buffers, no prediction slice, no worker fan-out): the streaming valuation
+// engine's per-coalition scorer, where concurrency already lives above the
+// model and any per-call allocation multiplies across thousands of
+// evaluations.
 func (m *Model) CountCorrect(xs [][]float64, ys []int) int {
-	buf := m.getBuffers()
-	ok := 0
-	for i, x := range xs {
-		p := 0
-		if m.forward(x, true, buf) >= 0 {
-			p = 1
-		}
-		if p == ys[i] {
-			ok++
-		}
-	}
-	m.putBuffers(buf)
+	b := m.snapshot()
+	buf := b.getBuf()
+	ok := b.countCorrect(xs, ys, buf)
+	b.bufs.Put(buf)
+	m.snaps.Put(b)
 	return ok
-}
-
-// RuleActivations fills dst (length RuleDim) with the binarized model's
-// {0,1} rule activation vector for x and returns it. This is the vector
-// CTFL's tracer consumes.
-func (m *Model) RuleActivations(x []float64, dst []float64) []float64 {
-	if dst == nil {
-		dst = make([]float64, m.ruleDim)
-	}
-	b := m.getBuffers()
-	m.forward(x, true, b)
-	copy(dst, b.rules)
-	m.putBuffers(b)
-	return dst
-}
-
-// ScoreAndActivationsBatch computes, in one parallel pass over xs, the
-// deployed model's pre-threshold scores and {0,1} rule-activation vectors.
-// It is the batched form of Score + RuleActivations used by the tracer,
-// avoiding one redundant forward pass and per-row buffer allocation.
-func (m *Model) ScoreAndActivationsBatch(xs [][]float64) (scores []float64, acts [][]float64) {
-	scores = make([]float64, len(xs))
-	acts = make([][]float64, len(xs))
-	// One contiguous slab for all activation rows keeps the result cache
-	// friendly and cuts per-row allocations.
-	slab := make([]float64, len(xs)*m.ruleDim)
-	m.parallelOver(len(xs), func(lo, hi int, buf *fwdBuffers) {
-		for i := lo; i < hi; i++ {
-			scores[i] = m.forward(xs[i], true, buf)
-			row := slab[i*m.ruleDim : (i+1)*m.ruleDim : (i+1)*m.ruleDim]
-			copy(row, buf.rules)
-			acts[i] = row
-		}
-	})
-	return scores, acts
-}
-
-// RuleSpec describes one logical node of the deployed model for the rule
-// extractor: which layer it lives in, its kind, and which input indices its
-// binarized weights select.
-type RuleSpec struct {
-	Layer    int
-	Node     int
-	Conj     bool
-	Selected []int // indices into the layer's input vector
-}
-
-// RuleSpecs enumerates every logical node's binarized structure, in rule
-// vector order (layer by layer).
-func (m *Model) RuleSpecs() []RuleSpec {
-	var specs []RuleSpec
-	for k, l := range m.layers {
-		for n := 0; n < l.size(); n++ {
-			spec := RuleSpec{Layer: k, Node: n, Conj: l.nodeKind(n) == nodeConj}
-			for i, w := range l.row(n) {
-				if w > 0.5 {
-					spec.Selected = append(spec.Selected, i)
-				}
-			}
-			specs = append(specs, spec)
-		}
-	}
-	return specs
 }

@@ -126,11 +126,9 @@ func TestPredictConsistency(t *testing.T) {
 		{0, 0, 0, 0, 0, 0},
 	}
 	batch := m.PredictBatch(xs)
+	b := m.Binarize()
 	for i, x := range xs {
-		if one := m.Predict(x); one != batch[i] {
-			t.Fatalf("Predict(%d)=%d vs batch %d", i, one, batch[i])
-		}
-		score := m.Score(x)
+		score := b.Score(x)
 		want := 0
 		if score >= 0 {
 			want = 1
@@ -173,7 +171,8 @@ func TestRuleActivationsMatchSpecs(t *testing.T) {
 	if err := m.SetParams(p); err != nil {
 		t.Fatal(err)
 	}
-	specs := m.RuleSpecs()
+	b := m.Binarize()
+	specs := b.RuleSpecs()
 	if len(specs) != 8 {
 		t.Fatalf("specs = %d, want 8", len(specs))
 	}
@@ -184,14 +183,14 @@ func TestRuleActivationsMatchSpecs(t *testing.T) {
 		t.Fatalf("spec 4 wrong: %+v", specs[4])
 	}
 
-	act := m.RuleActivations([]float64{1, 1, 0, 0, 0, 0}, nil)
+	act := b.RuleActivations([]float64{1, 1, 0, 0, 0, 0}, nil)
 	if act[0] != 1 {
 		t.Fatal("conj node should fire when both selected inputs are 1")
 	}
 	if act[4] != 0 {
 		t.Fatal("disj node should not fire when selected inputs are 0")
 	}
-	act = m.RuleActivations([]float64{1, 0, 1, 0, 0, 0}, nil)
+	act = b.RuleActivations([]float64{1, 0, 1, 0, 0, 0}, nil)
 	if act[0] != 0 {
 		t.Fatal("conj node must not fire with one input missing")
 	}
@@ -227,7 +226,7 @@ func TestGradientCheck(t *testing.T) {
 		if err := m.SetParams(params); err != nil {
 			t.Fatal(err)
 		}
-		s := m.forward(x, false, m.newBuffers())
+		s, _ := refForward(m, x, false)
 		pp := sigmoid(s)
 		if y == 1 {
 			return -math.Log(pp)
@@ -273,7 +272,7 @@ func TestGradientCheckTwoLayers(t *testing.T) {
 		if err := m.SetParams(params); err != nil {
 			t.Fatal(err)
 		}
-		s := m.forward(x, false, m.newBuffers())
+		s, _ := refForward(m, x, false)
 		pp := sigmoid(s)
 		return -math.Log(1 - pp)
 	}
@@ -425,6 +424,7 @@ func TestWorkersConfigRespected(t *testing.T) {
 	}
 }
 
+// BenchmarkForwardDiscrete times one row through the compiled evaluator.
 func BenchmarkForwardDiscrete(b *testing.B) {
 	m, _ := New(120, Config{Hidden: []int{128}, Seed: 1})
 	x := make([]float64, 120)
@@ -433,12 +433,15 @@ func BenchmarkForwardDiscrete(b *testing.B) {
 			x[i] = 1
 		}
 	}
-	buf := m.newBuffers()
+	bin := m.Binarize()
+	buf := bin.getBuf()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = m.forward(x, true, buf)
+		scoreSink = bin.eval(x, buf)
 	}
 }
+
+var scoreSink float64
 
 func BenchmarkBackprop(b *testing.B) {
 	m, _ := New(120, Config{Hidden: []int{128}, Seed: 1})

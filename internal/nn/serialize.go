@@ -173,16 +173,21 @@ func ReadModel(r io.Reader) (*Model, error) {
 	cfg.Seed = int64(binary.LittleEndian.Uint64(body[at:]))
 	at += 8
 
-	m, err := New(int(inDim), cfg)
-	if err != nil {
-		return nil, fmt.Errorf("nn: rebuilding model: %w", err)
-	}
 	nParams, err := get32()
 	if err != nil {
 		return nil, err
 	}
-	if int(nParams) != m.numParams() {
-		return nil, fmt.Errorf("nn: model has %d params, data holds %d", m.numParams(), nParams)
+	// Check the shape against the data before New allocates it: New sizes
+	// the parameters and both Adam moments from the header alone.
+	if want, ok := paramCount(uint64(inDim), cfg.withDefaults().Hidden); !ok || want != uint64(nParams) {
+		return nil, fmt.Errorf("nn: model shape does not match its %d declared params", nParams)
+	}
+	if len(body)-at != 8*int(nParams) {
+		return nil, fmt.Errorf("nn: model declares %d params, data holds %d bytes of them", nParams, len(body)-at)
+	}
+	m, err := New(int(inDim), cfg)
+	if err != nil {
+		return nil, fmt.Errorf("nn: rebuilding model: %w", err)
 	}
 	params := make([]float64, nParams)
 	for i := range params {
@@ -194,4 +199,24 @@ func ReadModel(r io.Reader) (*Model, error) {
 		return nil, err
 	}
 	return m, nil
+}
+
+// paramCount returns the flat parameter count New lays out for input width
+// inDim and the given hidden layers, and false once it would exceed
+// math.MaxUint32, the most a model file can declare.
+func paramCount(inDim uint64, hidden []int) (uint64, bool) {
+	const limit = math.MaxUint32
+	total, in := uint64(0), inDim
+	for _, h := range hidden {
+		hu := uint64(h)
+		if hu > limit || in > limit || hu*in > limit {
+			return 0, false
+		}
+		total += hu*in + hu // the layer's weights and its head weights
+		if total > limit {
+			return 0, false
+		}
+		in = inDim + hu // skip connection: the next layer also sees x
+	}
+	return total + 1, true // plus the head bias
 }

@@ -2,6 +2,9 @@ package nn
 
 import (
 	"bytes"
+	"encoding/binary"
+	"hash/crc32"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -51,7 +54,7 @@ func TestModelRoundTrip(t *testing.T) {
 		for i := range x {
 			x[i] = float64(i % 2)
 		}
-		if model.Score(x) != back.Score(x) {
+		if model.Binarize().Score(x) != back.Binarize().Score(x) {
 			t.Fatal("scores diverge after round trip")
 		}
 	}
@@ -87,5 +90,27 @@ func TestReadModelCorruption(t *testing.T) {
 	// Fix the checksum so the magic check is reached.
 	if _, err := ReadModel(bytes.NewReader(bad2)); err == nil {
 		t.Fatal("bad magic should error")
+	}
+
+	// A checksummed header claiming a 4096x4096 layer over zero params must
+	// be rejected before anything of that size is allocated.
+	forged := append([]byte(nil), nnMagic[:]...)
+	forged = append(forged, serializeVersion)
+	forged = binary.LittleEndian.AppendUint32(forged, 4096) // inDim
+	forged = binary.LittleEndian.AppendUint32(forged, 1)    // layers
+	forged = binary.LittleEndian.AppendUint32(forged, 4096) // hidden
+	forged = append(forged, 0)                              // flags
+	forged = append(forged, make([]byte, 3*8+2*4+8)...)     // lr, l1, l2, epochs, batch, seed
+	forged = binary.LittleEndian.AppendUint32(forged, 0)    // params
+	forged = binary.LittleEndian.AppendUint32(forged, crc32.ChecksumIEEE(forged))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err = ReadModel(bytes.NewReader(forged))
+	runtime.ReadMemStats(&after)
+	if err == nil {
+		t.Fatal("forged model shape should error")
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew >= 1<<20 {
+		t.Fatalf("rejecting a forged header allocated %d bytes", grew)
 	}
 }

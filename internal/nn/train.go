@@ -75,7 +75,11 @@ type gradBuffers struct {
 }
 
 func (m *Model) newGradBuffers() *gradBuffers {
-	gb := &gradBuffers{fwd: m.newBuffers(), fwdD: m.newBuffers(), grad: make([]float64, m.numParams())}
+	gb := &gradBuffers{
+		fwd:  newBuffers(m.ruleDim, m.layers),
+		fwdD: newBuffers(m.ruleDim, m.layers),
+		grad: make([]float64, m.numParams()),
+	}
 	for _, l := range m.layers {
 		gb.gOut = append(gb.gOut, make([]float64, l.size()))
 		gb.gIn = append(gb.gIn, make([]float64, l.inDim))
@@ -117,7 +121,7 @@ func (m *Model) backprop(x []float64, y int, grafting bool, gb *gradBuffers) flo
 	sUsed := sCont
 	if grafting {
 		// batchGrad compiled the discrete structure for this batch.
-		sUsed = m.forwardDiscrete(x, gb.fwdD)
+		sUsed = m.graft.eval(x, gb.fwdD)
 	}
 	p := sigmoid(sUsed)
 	dLds := p - float64(y)
@@ -207,13 +211,12 @@ func layerNodeBase(m *Model, k int) int {
 	return b
 }
 
-// forwardTrain is the continuous forward pass used by backprop. It computes
-// exactly the same score as forward(x, false, gb.fwd) — identical factor
-// expressions multiplied in identical order — while additionally caching,
-// per node, every factor (gb.fmat), the product of its non-near-zero
-// factors (gb.pnz) and the near-zero bookkeeping (gb.nzero/gb.zidx) the
-// backward kernels need, so the backward pass does no factor recomputation
-// or rescanning at all.
+// forwardTrain is the continuous forward pass used by backprop: the soft
+// activations of Eq. 7, which the gradient-check tests compare with a
+// test-local reference. It additionally caches, per node, every factor
+// (gb.fmat), the product of its non-near-zero factors (gb.pnz) and the
+// near-zero bookkeeping (gb.nzero/gb.zidx) the backward kernels need, so the
+// backward pass does no factor recomputation or rescanning at all.
 func (m *Model) forwardTrain(x []float64, gb *gradBuffers) float64 {
 	if len(x) != m.inDim {
 		panic(fmt.Sprintf("nn: input width %d, want %d", len(x), m.inDim))
@@ -229,9 +232,9 @@ func (m *Model) forwardTrain(x []float64, gb *gradBuffers) float64 {
 		} else {
 			in = b.layerIn[k]
 			copy(in, x)
-			copy(in[m.inDim:], b.layerOut[k-1])
+			copy(in[m.inDim:], b.rules[ri-m.layers[k-1].size():ri])
 		}
-		out := b.layerOut[k]
+		out := b.rules[ri : ri+l.size()]
 		fslab := gb.fmat[k]
 		for n := 0; n < l.size(); n++ {
 			w := l.row(n)
@@ -250,7 +253,6 @@ func (m *Model) forwardTrain(x []float64, gb *gradBuffers) float64 {
 			gb.zidx[ni] = zeroIdx
 			ni++
 		}
-		copy(b.rules[ri:ri+l.size()], out)
 		ri += l.size()
 	}
 	s := m.flat[len(m.flat)-1]
@@ -260,10 +262,11 @@ func (m *Model) forwardTrain(x []float64, gb *gradBuffers) float64 {
 	return s
 }
 
-// conjForwardTrain is conjForward's continuous loop fused with the backward
-// pass's factor caching and zero-scan. p is the node output (bit-identical
-// to conjForward); prodNZ is the product of factors at least prodZeroEps in
-// magnitude (the same skip rule and multiply order the backward scan used).
+// conjForwardTrain computes the soft conjunction Conj(x,w) =
+// prod_i (1 - w_i (1 - x_i)), fused with the backward pass's factor caching
+// and zero-scan. p is the node output; prodNZ is the product of factors at
+// least prodZeroEps in magnitude (the same skip rule and multiply order the
+// backward scan used).
 func conjForwardTrain(x, w, fbuf []float64) (p, prodNZ float64, zeros, zeroIdx int32) {
 	p = 1.0
 	prodNZ = 1.0
@@ -283,8 +286,8 @@ func conjForwardTrain(x, w, fbuf []float64) (p, prodNZ float64, zeros, zeroIdx i
 }
 
 // disjForwardTrain mirrors conjForwardTrain for disjunction factors
-// G_i = 1 - x_i w_i. It returns the raw product p (the caller computes the
-// node output 1-p, matching disjForward bit-for-bit).
+// G_i = 1 - x_i w_i. It returns the raw product p; the caller computes the
+// node output Disj(x,w) = 1-p.
 func disjForwardTrain(x, w, fbuf []float64) (p, prodNZ float64, zeros, zeroIdx int32) {
 	p = 1.0
 	prodNZ = 1.0
@@ -490,7 +493,7 @@ func (m *Model) batchGrad(xs [][]float64, ys []int, batch []int, gbs []*gradBuff
 	}
 	inv := 1 / float64(len(batch))
 	if m.cfg.Grafting {
-		m.compileDiscrete() // weights are fixed for the whole batch
+		m.graft.compile(m) // weights are fixed for the whole batch
 	}
 
 	if workers <= 1 {
@@ -560,42 +563,4 @@ func (m *Model) workerCount() int {
 		n = 1
 	}
 	return n
-}
-
-// parallelOver splits n items across workers, giving each worker pooled
-// forward buffers, and calls fn with the worker's half-open index range.
-func (m *Model) parallelOver(n int, fn func(lo, hi int, buf *fwdBuffers)) {
-	if n == 0 {
-		return
-	}
-	workers := m.workerCount()
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		buf := m.getBuffers()
-		fn(0, n, buf)
-		m.putBuffers(buf)
-		return
-	}
-	var wg sync.WaitGroup
-	chunk := (n + workers - 1) / workers
-	for wkr := 0; wkr < workers; wkr++ {
-		lo := wkr * chunk
-		hi := lo + chunk
-		if hi > n {
-			hi = n
-		}
-		if lo >= hi {
-			continue
-		}
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			buf := m.getBuffers()
-			fn(lo, hi, buf)
-			m.putBuffers(buf)
-		}(lo, hi)
-	}
-	wg.Wait()
 }

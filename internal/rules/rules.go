@@ -43,11 +43,9 @@ type Rule struct {
 // class masks and weight vectors, and the machinery to compute activation
 // vectors for data instances.
 type Set struct {
-	model *nn.Model
-	// bin is the compiled binarized evaluator — the model's discrete
-	// structure snapshot taken at extraction time. All activation
-	// computation goes through it (bit-identical to the model's discrete
-	// forward pass, far cheaper).
+	// bin is the model's compiled binarized evaluator, taken once at
+	// extraction time: the rules below are read from its selection, and
+	// every score and activation of the set comes from it.
 	bin *nn.Binarized
 	enc *dataset.Encoder
 	// Rules lists the live (non-degenerate, non-zero-weight) rules.
@@ -71,11 +69,11 @@ func Extract(m *nn.Model, enc *dataset.Encoder) *Set {
 	if m.InDim() != enc.Width() {
 		panic(fmt.Sprintf("rules: model input %d != encoder width %d", m.InDim(), enc.Width()))
 	}
-	specs := m.RuleSpecs()
+	bin := m.Binarize()
+	specs := bin.RuleSpecs()
 	head := m.HeadWeights()
 	s := &Set{
-		model:   m,
-		bin:     m.Binarize(),
+		bin:     bin,
 		enc:     enc,
 		width:   m.RuleDim(),
 		posMask: bitset.New(m.RuleDim()),
@@ -146,6 +144,10 @@ func Extract(m *nn.Model, enc *dataset.Encoder) *Set {
 
 // Width returns the size of the full rule-activation vector.
 func (s *Set) Width() int { return s.width }
+
+// Binarized returns the compiled evaluator the set was extracted from: the
+// deployed model's scorer. Callers must not modify it.
+func (s *Set) Binarized() *nn.Binarized { return s.bin }
 
 // Weights returns |head weight| per rule-vector index (0 for dead rules).
 // Callers must not modify the returned slice.

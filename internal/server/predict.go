@@ -1,9 +1,11 @@
 package server
 
-// POST /v1/predict — the compiled-inference serving path. The published
-// model's nn.Binarized snapshot (compiled once per model publish) scores
-// batches of encoded {0,1} feature rows. The endpoint's native format is
-// the binary v2 predict frame; JSON is negotiable on both sides:
+// POST /v1/predict — the compiled-inference serving path. Publishing a
+// model compiles it once, into the nn.Binarized snapshot its extracted
+// rules.Set holds; that same snapshot, which also produces the tracer's
+// rule activations, scores batches of encoded {0,1} feature rows here. The
+// endpoint's native format is the binary v2 predict frame; JSON is
+// negotiable on both sides:
 //
 //	request   Content-Type application/x-ctfl (or absent) → binary frame
 //	          Content-Type application/json → {"rows": [[0,1,...], ...]}
@@ -74,12 +76,13 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 	}
 
 	s.mu.RLock()
-	bin := s.st.bin
+	rs := s.st.rs
 	s.mu.RUnlock()
-	if bin == nil {
+	if rs == nil {
 		httpError(w, http.StatusConflict, errors.New("publish encoder and model first"))
 		return
 	}
+	bin := rs.Binarized()
 	width := bin.InDim()
 
 	sc := predictPool.Get().(*predictScratch)

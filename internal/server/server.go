@@ -215,9 +215,8 @@ type state struct {
 	enc      *dataset.Encoder
 	encRaw   []byte // encoder JSON exactly as accepted, for snapshots
 	model    *nn.Model
-	modelRaw []byte // model bytes exactly as accepted
-	rs       *rules.Set
-	bin      *nn.Binarized // compiled inference snapshot behind /v1/predict
+	modelRaw []byte     // model bytes exactly as accepted
+	rs       *rules.Set // its Binarized snapshot serves /v1/predict
 	uploads  []core.TrainingUpload
 	frames   [][]byte // accepted protocol frames, byte-for-byte as uploaded
 	parts    int      // highest participant id seen + 1
@@ -545,7 +544,7 @@ func (s *Server) applyEvent(ev store.Event) error {
 func (s *Server) applyEncoder(enc *dataset.Encoder, raw []byte) {
 	s.st.enc, s.st.encRaw = enc, raw
 	// A new encoding invalidates any model and uploads tied to the old one.
-	s.st.model, s.st.modelRaw, s.st.rs, s.st.bin = nil, nil, nil, nil
+	s.st.model, s.st.modelRaw, s.st.rs = nil, nil, nil
 	s.st.uploads, s.st.frames, s.st.parts = nil, nil, 0
 	s.st.rounds, s.st.evalRaw = nil, nil
 	s.st.version++
@@ -554,7 +553,6 @@ func (s *Server) applyEncoder(enc *dataset.Encoder, raw []byte) {
 func (s *Server) applyModel(m *nn.Model, raw []byte) {
 	s.st.model, s.st.modelRaw = m, raw
 	s.st.rs = rules.Extract(m, s.st.enc)
-	s.st.bin = m.Binarize()
 	// Uploads reference the previous model's rule space; the round stream
 	// reconstructs coalitions of the previous model's parameters.
 	s.st.uploads, s.st.frames, s.st.parts = nil, nil, 0

@@ -16,6 +16,14 @@ if [[ "${1:-}" == "chaos" ]]; then
     exit 0
 fi
 
+echo "== gofmt -l (root module; bench/ is the benchmark's own module)"
+unformatted="$(find . -name '*.go' -not -path './bench/*' -not -path './.bench_build/*' -exec gofmt -l {} +)"
+if [[ -n "$unformatted" ]]; then
+    echo "gofmt would reformat:"
+    echo "$unformatted"
+    exit 1
+fi
+
 echo "== go vet ./..."
 go vet ./...
 
@@ -41,8 +49,10 @@ go test -run=TestMatrixAcrossWorkers -count=1 ./internal/attack/
 echo "== go test ./... (full suite)"
 go test ./...
 
-echo "== zero-alloc pins (training hot loop; disabled fault injector; cached utility)"
+echo "== zero-alloc pins (training hot loop; disabled fault injector; cached utility; coalition scoring)"
 go test -run=TestTrainInnerLoopZeroAlloc -count=1 -v ./internal/nn/ | grep -E 'PASS|FAIL|allocates'
+go test -run=TestBatchGradAllocs -count=1 -v ./internal/nn/ | grep -E 'PASS|FAIL|allocates'
+go test -run=TestEvalCoalitionSteadyStateAllocs -count=1 -v ./internal/rounds/ | grep -E 'PASS|FAIL|allocates'
 go test -run=TestDisabledInjectorZeroAlloc -count=1 -v ./internal/faults/ | grep -E 'PASS|FAIL|allocates'
 go test -run=TestUtilityCacheHitZeroAlloc -count=1 -v ./internal/valuation/ | grep -E 'PASS|FAIL|allocates'
 
