@@ -145,7 +145,7 @@ func (r *Result) UselessRatio() []float64 {
 	t := r.tracer
 	total := make([]float64, t.numParts)
 	unused := make([]float64, t.numParts)
-	for j, owner := range t.trainOwner {
+	for j, owner := range t.v.owner {
 		total[owner]++
 		if r.TrainMatched[j] == 0 {
 			unused[owner]++

@@ -88,27 +88,22 @@ func BenchmarkTraceActivations(b *testing.B) {
 	}
 }
 
-// BenchmarkNewTracer measures index construction, which the overhaul trades
-// a little of (building posting lists) for much faster per-pattern tracing.
+// BenchmarkNewTracer measures index construction: deduplicating every
+// upload into its pattern group, then the view's owner histograms.
 func BenchmarkNewTracer(b *testing.B) {
 	tracer, _ := benchFixture(b, 4000, 64)
 	rs := tracer.Rules()
 	uploads := make([]TrainingUpload, tracer.NumTraining())
-	for j := range uploads {
+	for j, u := range tracer.v.group {
 		uploads[j] = TrainingUpload{
 			Owner:       tracer.TrainOwner(j),
-			Label:       tracer.trainLabel[j],
-			Activations: tracer.trainActs[j].Clone(),
+			Label:       int(tracer.v.label[u]),
+			Activations: tracer.v.pat[u],
 		}
 	}
 	cfg := tracer.Config()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		ups := make([]TrainingUpload, len(uploads))
-		for j := range uploads {
-			ups[j] = uploads[j]
-			ups[j].Activations = uploads[j].Activations.Clone()
-		}
-		_ = NewTracerFromUploads(rs, tracer.NumParticipants(), ups, cfg)
+		_ = NewTracerFromUploads(rs, tracer.NumParticipants(), uploads, cfg)
 	}
 }

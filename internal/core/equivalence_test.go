@@ -18,18 +18,22 @@ import (
 )
 
 // referenceTraceOne is the seed implementation of Eq. 4: scan every
-// training instance of the predicted label and threshold its weighted
-// activation overlap.
-func referenceTraceOne(t *Tracer, side *bitset.Set, denom float64, label int) (counts []int, matched []int) {
+// training upload of the predicted label and threshold the weighted overlap
+// of its class-side activations.
+func referenceTraceOne(t *Tracer, ups []TrainingUpload, side *bitset.Set, denom float64, label int) (counts []int, matched []int) {
 	counts = make([]int, t.numParts)
 	if denom <= 0 {
 		return counts, nil
 	}
 	need := t.cfg.TauW*denom - 1e-12
 	weights := t.rs.Weights()
-	for _, j := range t.trainByLabel[label] {
-		if side.WeightedIntersect(t.trainActs[j], weights) >= need {
-			counts[t.trainOwner[j]]++
+	for j, u := range ups {
+		if u.Label != label {
+			continue
+		}
+		train := u.Activations.Clone().And(t.rs.ClassMask(label))
+		if side.WeightedIntersect(train, weights) >= need {
+			counts[u.Owner]++
 			matched = append(matched, j)
 		}
 	}
@@ -41,7 +45,7 @@ func TestPropertyIndexMatchesLinearScanRandom(t *testing.T) {
 		r := rand.New(rand.NewSource(seed))
 		fx := newRandomFixture(r)
 		tau := 0.5 + 0.5*r.Float64()
-		tr := NewTracerFromUploads(fx.rs, fx.parts, cloneUploads(fx.ups), Config{TauW: tau})
+		tr := NewTracerFromUploads(fx.rs, fx.parts, fx.ups, Config{TauW: tau})
 		res := tr.Trace(fx.tab)
 
 		// Rebuild the expected result with the reference linear scan.
@@ -51,7 +55,7 @@ func TestPropertyIndexMatchesLinearScanRandom(t *testing.T) {
 		for te, a := range acts {
 			side := a.Clone().And(fx.rs.ClassMask(pred[te]))
 			denom := side.WeightedCount(weights)
-			counts, matched := referenceTraceOne(tr, side, denom, pred[te])
+			counts, matched := referenceTraceOne(tr, fx.ups, side, denom, pred[te])
 			for i := range counts {
 				if res.Counts[te][i] != counts[i] {
 					return false
@@ -80,7 +84,7 @@ func TestPropertyTraceActivationsMatchesLinearScanRandom(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
 		fx := newRandomFixture(r)
-		tr := NewTracerFromUploads(fx.rs, fx.parts, cloneUploads(fx.ups), Config{TauW: 0.4 + 0.6*r.Float64()})
+		tr := NewTracerFromUploads(fx.rs, fx.parts, fx.ups, Config{TauW: 0.4 + 0.6*r.Float64()})
 		weights := fx.rs.Weights()
 		for trial := 0; trial < 10; trial++ {
 			side := bitset.New(fx.rs.Width())
@@ -91,7 +95,7 @@ func TestPropertyTraceActivationsMatchesLinearScanRandom(t *testing.T) {
 			}
 			label := r.Intn(2)
 			got := tr.TraceActivations(side, label)
-			want, _ := referenceTraceOne(tr, side, side.WeightedCount(weights), label)
+			want, _ := referenceTraceOne(tr, fx.ups, side, side.WeightedCount(weights), label)
 			for i := range want {
 				if got[i] != want[i] {
 					return false

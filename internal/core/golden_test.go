@@ -114,3 +114,57 @@ func TestGoldenTraceActivations(t *testing.T) {
 		t.Errorf("golden TraceActivations hash %#08x, want %#08x", h, want)
 	}
 }
+
+// profileHash folds the interpretability output of a result into one
+// value: every participant's full beneficial and harmful rule lists (rule
+// index and credit, in ranked order) and useless-data ratio, then the
+// data-collection guidance.
+func profileHash(h uint32, res *Result) uint32 {
+	hashRules := func(h uint32, rfs []RuleFrequency) uint32 {
+		h = hashInts(h, len(rfs))
+		for _, rf := range rfs {
+			h = hashInts(h, rf.RuleIndex)
+			h = hashF64s(h, rf.Credit)
+		}
+		return h
+	}
+	for _, p := range res.Profiles(0) {
+		h = hashInts(h, p.Participant)
+		h = hashRules(h, p.Beneficial)
+		h = hashRules(h, p.Harmful)
+		h = hashF64s(h, p.UselessRatio)
+	}
+	return hashRules(h, res.CollectionGuidance(0))
+}
+
+// TestGoldenProfiles locks the interpretability accumulators, which
+// traceHash does not reach: the profiles and guidance of a full trace and
+// of the MergeResults of its two halves.
+func TestGoldenProfiles(t *testing.T) {
+	rs, parts, test := goldenFixture(t)
+	half := test.Len() / 2
+	first := &dataset.Table{Schema: test.Schema, Instances: test.Instances[:half]}
+	second := &dataset.Table{Schema: test.Schema, Instances: test.Instances[half:]}
+	for _, tc := range []struct {
+		name string
+		cfg  Config
+		want uint32
+	}{
+		{"tau-0.85", Config{TauW: 0.85}, 0xdca2a93c},
+		{"tau-0.9", Config{TauW: 0.9}, 0xefed4bf9},
+		{"tau-1.0", Config{TauW: 1.0}, 0x1c986d56},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			tracer := NewTracer(rs, parts, tc.cfg)
+			merged, err := MergeResults(tracer.Trace(first), tracer.Trace(second))
+			if err != nil {
+				t.Fatal(err)
+			}
+			h := profileHash(0, tracer.Trace(test))
+			h = profileHash(h, merged)
+			if h != tc.want {
+				t.Errorf("golden profile hash %#08x, want %#08x", h, tc.want)
+			}
+		})
+	}
+}

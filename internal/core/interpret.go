@@ -35,16 +35,20 @@ type ParticipantProfile struct {
 	UselessRatio float64
 }
 
-// topRules converts a frequency map into a sorted, truncated list. Credits
-// are normalized by the test-set size so they are comparable across runs.
-func (r *Result) topRules(freq map[int]float64, k int) []RuleFrequency {
+// topRules converts a frequency accumulator into a sorted, truncated list.
+// Credits are normalized by the test-set size so they are comparable across
+// runs.
+func (r *Result) topRules(freq ruleFreq, k int) []RuleFrequency {
 	norm := 1.0
 	if r.TestSize > 0 {
 		norm = 1 / float64(r.TestSize)
 	}
-	out := make([]RuleFrequency, 0, len(freq))
-	for ri, credit := range freq {
-		rf := RuleFrequency{RuleIndex: ri, Credit: credit * norm}
+	var out []RuleFrequency
+	for ri, seen := range freq.seen {
+		if !seen {
+			continue
+		}
+		rf := RuleFrequency{RuleIndex: ri, Credit: freq.credit[ri] * norm}
 		if rule, ok := r.tracer.rs.RuleByIndex(ri); ok {
 			rf.Expr = rule.Expr
 			rf.Positive = rule.Positive

@@ -98,40 +98,20 @@ func MergeResults(a, b *Result) (*Result, error) {
 	if a.tracer != b.tracer {
 		return nil, fmt.Errorf("core: MergeResults requires results from the same tracer")
 	}
-	out := &Result{
-		NumParticipants:   a.NumParticipants,
-		TestSize:          a.TestSize + b.TestSize,
-		Pred:              append(append([]int{}, a.Pred...), b.Pred...),
-		Truth:             append(append([]int{}, a.Truth...), b.Truth...),
-		Counts:            append(append([][]int{}, a.Counts...), b.Counts...),
-		TrainMatched:      make([]int, len(a.TrainMatched)),
-		tracer:            a.tracer,
-		beneficialFreq:    newFreqMaps(a.NumParticipants),
-		harmfulFreq:       newFreqMaps(a.NumParticipants),
-		uncoveredRuleFreq: make(map[int]float64),
-	}
+	out := a.tracer.newResult(a.TestSize + b.TestSize)
+	out.Pred = append(append([]int{}, a.Pred...), b.Pred...)
+	out.Truth = append(append([]int{}, a.Truth...), b.Truth...)
+	out.Counts = append(append([][]int{}, a.Counts...), b.Counts...)
 	for j := range a.TrainMatched {
 		out.TrainMatched[j] = a.TrainMatched[j] + b.TrainMatched[j]
 	}
 	for i := 0; i < a.NumParticipants; i++ {
-		for ri, v := range a.beneficialFreq[i] {
-			out.beneficialFreq[i][ri] += v
-		}
-		for ri, v := range b.beneficialFreq[i] {
-			out.beneficialFreq[i][ri] += v
-		}
-		for ri, v := range a.harmfulFreq[i] {
-			out.harmfulFreq[i][ri] += v
-		}
-		for ri, v := range b.harmfulFreq[i] {
-			out.harmfulFreq[i][ri] += v
-		}
+		out.beneficialFreq[i].addAll(a.beneficialFreq[i])
+		out.beneficialFreq[i].addAll(b.beneficialFreq[i])
+		out.harmfulFreq[i].addAll(a.harmfulFreq[i])
+		out.harmfulFreq[i].addAll(b.harmfulFreq[i])
 	}
-	for ri, v := range a.uncoveredRuleFreq {
-		out.uncoveredRuleFreq[ri] += v
-	}
-	for ri, v := range b.uncoveredRuleFreq {
-		out.uncoveredRuleFreq[ri] += v
-	}
+	out.uncoveredRuleFreq.addAll(a.uncoveredRuleFreq)
+	out.uncoveredRuleFreq.addAll(b.uncoveredRuleFreq)
 	return out, nil
 }

@@ -10,8 +10,6 @@ import (
 // it; the zero value is inert (every instrument is a nil-safe no-op), so
 // the tracing kernel never branches on more than one pointer.
 type Obs struct {
-	// BuildSeconds times index construction (NewTracerFromUploads).
-	BuildSeconds *telemetry.Histogram
 	// TraceSeconds times one full Trace pass over a test table.
 	TraceSeconds *telemetry.Histogram
 	// QuerySeconds times one Eq. 4 query (one unique test pattern).
@@ -25,16 +23,12 @@ type Obs struct {
 	// PatternDedupHits counts test instances served by another instance's
 	// identical activation pattern — queries the dedup cache absorbed.
 	PatternDedupHits *telemetry.Counter
-	// UniqueGroups gauges the deduplicated training-pattern count of the
-	// most recently built index.
-	UniqueGroups *telemetry.Gauge
 }
 
 // NewObs registers the tracer metric family on r and returns the handle
 // to pass in Config.Obs.
 func NewObs(r *telemetry.Registry) *Obs {
 	return &Obs{
-		BuildSeconds: r.Histogram("ctfl_tracer_build_seconds", "tracing index construction time", nil),
 		TraceSeconds: r.Histogram("ctfl_tracer_trace_seconds", "full tracing pass time over one test table", nil),
 		QuerySeconds: r.Histogram("ctfl_tracer_query_seconds", "single Eq.4 query time", nil),
 		IndexQueries: r.Counter(`ctfl_tracer_queries_total{strategy="index"}`, "Eq.4 queries answered by the inverted index"),
@@ -42,6 +36,5 @@ func NewObs(r *telemetry.Registry) *Obs {
 		EarlyRejects: r.Counter(`ctfl_tracer_queries_total{strategy="reject"}`, "Eq.4 queries rejected by the maxTotal bound"),
 		PatternDedupHits: r.Counter("ctfl_tracer_pattern_dedup_hits_total",
 			"test instances served by an identical already-traced pattern"),
-		UniqueGroups: r.Gauge("ctfl_tracer_unique_groups", "deduplicated training pattern groups in the index"),
 	}
 }

@@ -50,23 +50,16 @@ func PerturbActivations(s *bitset.Set, eps float64, r *rand.Rand) *bitset.Set {
 // gracefully as eps shrinks; BenchmarkAblationDP quantifies the trade-off.
 func (t *Tracer) WithLocalDP(eps float64, seed int64) *Tracer {
 	r := rand.New(rand.NewSource(seed))
-	dp := &Tracer{
-		cfg:        t.cfg,
-		obs:        t.obs,
-		rs:         t.rs,
-		numParts:   t.numParts,
-		trainOwner: t.trainOwner,
-		trainLabel: t.trainLabel,
-		trainActs:  make([]*bitset.Set, len(t.trainActs)),
+	x := NewIndex(t.rs)
+	for j, u := range t.v.group {
+		// Perturb the record's class-side pattern; Append re-restricts it
+		// to the record's class side as NewTracer does (the class mask is
+		// public model structure, not private data).
+		x.Append(TrainingUpload{
+			Owner:       int(t.v.owner[j]),
+			Label:       int(t.v.label[u]),
+			Activations: PerturbActivations(t.v.pat[u], eps, r),
+		})
 	}
-	dp.trainByLabel = t.trainByLabel
-	for j, s := range t.trainActs {
-		// Perturb the full pattern, then re-restrict to the instance's
-		// class side as NewTracer does (the class mask is public model
-		// structure, not private data).
-		noisy := PerturbActivations(s, eps, r)
-		dp.trainActs[j] = noisy.And(t.rs.ClassMask(t.trainLabel[j]))
-	}
-	dp.buildIndex()
-	return dp
+	return newTracer(x.View(), t.numParts, t.cfg)
 }

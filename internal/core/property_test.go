@@ -180,22 +180,14 @@ func TestPropertyZeroElementRandom(t *testing.T) {
 	}
 }
 
-func cloneUploads(ups []TrainingUpload) []TrainingUpload {
-	out := make([]TrainingUpload, len(ups))
-	for i, u := range ups {
-		out[i] = TrainingUpload{Owner: u.Owner, Label: u.Label, Activations: u.Activations.Clone()}
-	}
-	return out
-}
-
 func TestPropertyTauMonotonicityRandom(t *testing.T) {
 	// Raising tau can only shrink the related sets (Eq. 4 is a threshold
 	// test), so per-instance counts are pointwise non-increasing in tau.
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
 		fx := newRandomFixture(r)
-		lo := NewTracerFromUploads(fx.rs, fx.parts, cloneUploads(fx.ups), Config{TauW: 0.6}).Trace(fx.tab)
-		hi := NewTracerFromUploads(fx.rs, fx.parts, cloneUploads(fx.ups), Config{TauW: 0.95}).Trace(fx.tab)
+		lo := NewTracerFromUploads(fx.rs, fx.parts, fx.ups, Config{TauW: 0.6}).Trace(fx.tab)
+		hi := NewTracerFromUploads(fx.rs, fx.parts, fx.ups, Config{TauW: 0.95}).Trace(fx.tab)
 		for te := 0; te < lo.TestSize; te++ {
 			for i := 0; i < fx.parts; i++ {
 				if hi.Counts[te][i] > lo.Counts[te][i] {

@@ -49,7 +49,9 @@ func (c Config) withDefaults() Config {
 }
 
 // Tracer matches test instances against the training data of a federation
-// through the activated rules of a trained rule-based model.
+// through the activated rules of a trained rule-based model. It traces one
+// View of an Index with one Config; building it costs one pass over the
+// view's records.
 type Tracer struct {
 	cfg Config
 	// obs is cfg.Obs or an inert zero value, so instrumentation sites
@@ -58,39 +60,10 @@ type Tracer struct {
 	rs  *rules.Set
 
 	numParts int
-	// Per training instance: owner participant index, label, and class-side
-	// activation bitset (restricted to the rules supporting its own label).
-	trainOwner []int
-	trainLabel []int
-	trainActs  []*bitset.Set
-	// trainByLabel[l] lists training indices with label l.
-	trainByLabel [2][]int
-
-	// Tracing index, built once by buildIndex. Eq. 4 is a pure function of
-	// a training instance's class-side activation pattern, and real
-	// federations repeat patterns heavily, so the index deduplicates
-	// training instances into unique (label, pattern) groups and answers
-	// every query over those:
-	//
-	//	upat[u], uLabel[u], uTotal[u]  unique pattern, its label and its
-	//	                               precomputed weighted activation total
-	//	                               (the largest overlap it can reach)
-	//	uHist[u*numParts:...]          per-owner instance counts of group u
-	//	uMembers[u]                    training instance ids of group u
-	//	uByLabel[l]                    unique ids with label l, ascending
-	//	postings[r]                    unique ids whose pattern includes rule
-	//	                               r, ascending (the inverted index)
-	//	maxTotal[l]                    max of uTotal over label l — patterns
-	//	                               whose Eq. 4 threshold exceeds it are
-	//	                               rejected without touching anything
-	upat     []*bitset.Set
-	uLabel   []int32
-	uTotal   []float64
-	uHist    []int32
-	uMembers [][]int32
-	uByLabel [2][]int32
-	postings [][]int32
-	maxTotal [2]float64
+	v        View
+	// hist[u*numParts+i] counts participant i's records in group u: a
+	// matched group adds its whole row to the per-participant counts.
+	hist []int32
 
 	// scratch pools per-goroutine accumulator state for traceInto.
 	scratch sync.Pool
@@ -112,132 +85,50 @@ type TrainingUpload struct {
 // score vectors returned by the allocators. Only the participants' rule
 // activation vectors are consumed — never raw feature values.
 func NewTracer(rs *rules.Set, parts []*fl.Participant, cfg Config) *Tracer {
-	var uploads []TrainingUpload
+	x := NewIndex(rs)
 	for pi, p := range parts {
 		acts, _ := rs.ActivationsTable(p.Data)
 		for i, a := range acts {
-			uploads = append(uploads, TrainingUpload{
-				Owner:       pi,
-				Label:       p.Data.Instances[i].Label,
-				Activations: a,
-			})
+			x.Append(TrainingUpload{Owner: pi, Label: p.Data.Instances[i].Label, Activations: a})
 		}
 	}
-	return NewTracerFromUploads(rs, len(parts), uploads, cfg)
+	return newTracer(x.View(), len(parts), cfg)
 }
 
-// NewTracerFromUploads builds a tracer directly from uploaded activation
-// vectors — the entry point a real federation server would use after
-// decoding participants' protocol messages. Upload activation sets are
-// owned by the tracer afterwards (they are masked in place).
+// NewTracerFromUploads indexes uploaded activation vectors and returns a
+// tracer over them: NewIndex, one Append per upload, then a View. The
+// uploads are only read. Owners must lie in [0, numParts).
 func NewTracerFromUploads(rs *rules.Set, numParts int, uploads []TrainingUpload, cfg Config) *Tracer {
+	x := NewIndex(rs)
+	for _, u := range uploads {
+		if u.Owner >= numParts {
+			panic(fmt.Sprintf("core: upload owner %d out of range [0,%d)", u.Owner, numParts))
+		}
+		x.Append(u)
+	}
+	return newTracer(x.View(), numParts, cfg)
+}
+
+// newTracer builds the per-group owner histogram of v's records for
+// numParts participants (at least the view's highest owner + 1).
+func newTracer(v View, numParts int, cfg Config) *Tracer {
 	cfg = cfg.withDefaults()
 	if cfg.TauW <= 0 || cfg.TauW > 1 {
 		panic(fmt.Sprintf("core: TauW must be in (0,1], got %v", cfg.TauW))
 	}
-	t := &Tracer{cfg: cfg, obs: cfg.Obs, rs: rs, numParts: numParts}
+	t := &Tracer{cfg: cfg, obs: cfg.Obs, rs: v.rs, numParts: numParts, v: v}
 	if t.obs == nil {
 		t.obs = &Obs{}
 	}
-	buildStart := time.Now()
-	for _, u := range uploads {
-		if u.Owner < 0 || u.Owner >= numParts {
-			panic(fmt.Sprintf("core: upload owner %d out of range [0,%d)", u.Owner, numParts))
-		}
-		if u.Label != 0 && u.Label != 1 {
-			panic(fmt.Sprintf("core: upload label %d invalid", u.Label))
-		}
-		side := u.Activations.And(rs.ClassMask(u.Label))
-		idx := len(t.trainActs)
-		t.trainOwner = append(t.trainOwner, u.Owner)
-		t.trainLabel = append(t.trainLabel, u.Label)
-		t.trainActs = append(t.trainActs, side)
-		t.trainByLabel[u.Label] = append(t.trainByLabel[u.Label], idx)
-	}
-	t.buildIndex()
-	t.obs.BuildSeconds.ObserveSince(buildStart)
-	t.obs.UniqueGroups.Set(float64(len(t.upat)))
-	return t
-}
-
-// buildIndex deduplicates the training instances into unique (label,
-// class-side pattern) groups and constructs the rule → group posting lists,
-// per-group owner histograms and member lists, and per-group weighted
-// totals. All slabs are carved from contiguous backing arrays.
-func (t *Tracer) buildIndex() {
-	width := t.rs.Width()
-	weights := t.rs.Weights()
-
-	// 1. Dedupe training patterns by raw (label, words) key.
-	idByKey := map[string]int32{}
-	var keyBuf []byte
-	uid := make([]int32, len(t.trainActs))
-	for j, a := range t.trainActs {
-		keyBuf = append(keyBuf[:0], byte(t.trainLabel[j]))
-		keyBuf = a.AppendKey(keyBuf)
-		id, ok := idByKey[string(keyBuf)]
-		if !ok {
-			id = int32(len(t.upat))
-			idByKey[string(keyBuf)] = id
-			l := t.trainLabel[j]
-			t.upat = append(t.upat, a)
-			t.uLabel = append(t.uLabel, int32(l))
-			t.uByLabel[l] = append(t.uByLabel[l], id)
-		}
-		uid[j] = id
-	}
-	nu := len(t.upat)
-
-	// 2. Owner histograms and member lists per unique group.
-	t.uHist = make([]int32, nu*t.numParts)
-	sizes := make([]int32, nu)
-	for j := range t.trainActs {
-		t.uHist[int(uid[j])*t.numParts+t.trainOwner[j]]++
-		sizes[uid[j]]++
-	}
-	memberSlab := make([]int32, len(t.trainActs))
-	t.uMembers = make([][]int32, nu)
-	off := 0
-	for u, c := range sizes {
-		t.uMembers[u] = memberSlab[off : off : off+int(c)]
-		off += int(c)
-	}
-	for j := range t.trainActs {
-		t.uMembers[uid[j]] = append(t.uMembers[uid[j]], int32(j))
-	}
-
-	// 3. Inverted index over unique patterns, plus weighted totals.
-	ruleCount := make([]int32, width)
-	incidences := 0
-	for _, a := range t.upat {
-		a.ForEach(func(r int) {
-			ruleCount[r]++
-			incidences++
-		})
-	}
-	postSlab := make([]int32, incidences)
-	t.postings = make([][]int32, width)
-	off = 0
-	for r, c := range ruleCount {
-		t.postings[r] = postSlab[off : off : off+int(c)]
-		off += int(c)
-	}
-	t.uTotal = make([]float64, nu)
-	t.maxTotal = [2]float64{}
-	for u, a := range t.upat {
-		tot := 0.0
-		a.ForEach(func(r int) {
-			t.postings[r] = append(t.postings[r], int32(u))
-			tot += weights[r]
-		})
-		t.uTotal[u] = tot
-		if l := t.uLabel[u]; tot > t.maxTotal[l] {
-			t.maxTotal[l] = tot
-		}
+	nu := len(v.pat)
+	t.hist = make([]int32, nu*numParts)
+	for j, u := range v.group {
+		t.hist[int(u)*numParts+int(v.owner[j])]++
 	}
 	t.scratch = sync.Pool{New: func() any {
 		return &traceScratch{acc: make([]float64, nu), stamp: make([]uint32, nu)}
 	}}
+	return t
 }
 
 // traceScratch is per-goroutine accumulator state for traceInto: acc holds
@@ -259,7 +150,7 @@ func (t *Tracer) putScratch(sc *traceScratch) { t.scratch.Put(sc) }
 func (t *Tracer) NumParticipants() int { return t.numParts }
 
 // NumTraining returns the number of indexed training instances.
-func (t *Tracer) NumTraining() int { return len(t.trainActs) }
+func (t *Tracer) NumTraining() int { return t.v.Len() }
 
 // Config returns the tracer's effective configuration.
 func (t *Tracer) Config() Config { return t.cfg }
@@ -268,7 +159,7 @@ func (t *Tracer) Config() Config { return t.cfg }
 func (t *Tracer) Rules() *rules.Set { return t.rs }
 
 // TrainOwner returns the participant index owning training instance j.
-func (t *Tracer) TrainOwner(j int) int { return t.trainOwner[j] }
+func (t *Tracer) TrainOwner(j int) int { return int(t.v.owner[j]) }
 
 // Result holds one tracing pass over a test set. All per-test slices are
 // indexed by test-instance position.
@@ -288,15 +179,65 @@ type Result struct {
 	TrainMatched []int
 
 	tracer *Tracer
-	// beneficialFreq[i][r] accumulates weighted rule-activation credit of
-	// rule r for participant i over correctly classified matches;
+	// beneficialFreq[i] accumulates weighted rule-activation credit per
+	// rule for participant i over correctly classified matches;
 	// harmfulFreq likewise over misclassifications.
-	beneficialFreq []map[int]float64
-	harmfulFreq    []map[int]float64
-	// uncoveredRuleFreq[r] accumulates weighted activations over
-	// misclassified test instances with insufficient related data — the
-	// data-collection guidance signal of Section IV-B.
-	uncoveredRuleFreq map[int]float64
+	beneficialFreq []ruleFreq
+	harmfulFreq    []ruleFreq
+	// uncoveredRuleFreq accumulates weighted activations over misclassified
+	// test instances with insufficient related data — the data-collection
+	// guidance signal of Section IV-B.
+	uncoveredRuleFreq ruleFreq
+}
+
+// newResult returns a result over t with empty accumulators.
+func (t *Tracer) newResult(testSize int) *Result {
+	n := t.numParts
+	freqs := newRuleFreqs(2*n+1, t.rs.Width())
+	return &Result{
+		NumParticipants:   n,
+		TestSize:          testSize,
+		TrainMatched:      make([]int, t.v.Len()),
+		tracer:            t,
+		beneficialFreq:    freqs[:n],
+		harmfulFreq:       freqs[n : 2*n],
+		uncoveredRuleFreq: freqs[2*n],
+	}
+}
+
+// ruleFreq accumulates weighted rule-activation credit densely by rule
+// index. seen marks every rule that received an addition — exactly the
+// rules a rule-keyed map would hold — so a rule whose credit sums to zero
+// is still listed.
+type ruleFreq struct {
+	credit []float64
+	seen   []bool
+}
+
+// newRuleFreqs returns n empty accumulators over width rules, carved from
+// one slab.
+func newRuleFreqs(n, width int) []ruleFreq {
+	credit := make([]float64, n*width)
+	seen := make([]bool, n*width)
+	out := make([]ruleFreq, n)
+	for i := range out {
+		out[i] = ruleFreq{credit[i*width : (i+1)*width], seen[i*width : (i+1)*width]}
+	}
+	return out
+}
+
+func (f ruleFreq) add(r int, v float64) {
+	f.credit[r] += v
+	f.seen[r] = true
+}
+
+// addAll adds every entry o holds into f.
+func (f ruleFreq) addAll(o ruleFreq) {
+	for r, seen := range o.seen {
+		if seen {
+			f.add(r, o.credit[r])
+		}
+	}
 }
 
 // Correct reports whether test instance te was classified correctly.
@@ -323,18 +264,10 @@ type traceOut struct {
 func (t *Tracer) Trace(test *dataset.Table) *Result {
 	traceStart := time.Now()
 	acts, pred := t.rs.ActivationsTable(test)
-	res := &Result{
-		NumParticipants:   t.numParts,
-		TestSize:          test.Len(),
-		Pred:              pred,
-		Truth:             make([]int, test.Len()),
-		Counts:            make([][]int, test.Len()),
-		TrainMatched:      make([]int, len(t.trainActs)),
-		tracer:            t,
-		beneficialFreq:    newFreqMaps(t.numParts),
-		harmfulFreq:       newFreqMaps(t.numParts),
-		uncoveredRuleFreq: make(map[int]float64),
-	}
+	res := t.newResult(test.Len())
+	res.Pred = pred
+	res.Truth = make([]int, test.Len())
+	res.Counts = make([][]int, test.Len())
 	for i, in := range test.Instances {
 		res.Truth[i] = in.Label
 	}
@@ -387,22 +320,27 @@ func (t *Tracer) Trace(test *dataset.Table) *Result {
 
 	// One contiguous slab for all Counts rows; each test instance gets its
 	// own copy of its group's counts (no shared backing between rows).
+	// Matches are counted per training group — every member of a test
+	// pattern group matches the same training groups — and expanded to
+	// training instances once, after the loop.
 	slab := make([]int, test.Len()*t.numParts)
+	uHits := make([]int, len(t.v.pat))
 	var trueSide *bitset.Set
 	for gi, g := range order {
 		out := outs[gi]
+		for _, u := range out.matched {
+			uHits[u] += len(g.members)
+		}
 		for _, te := range g.members {
 			row := slab[te*t.numParts : (te+1)*t.numParts : (te+1)*t.numParts]
 			copy(row, out.counts)
 			res.Counts[te] = row
-			for _, u := range out.matched {
-				for _, j := range t.uMembers[u] {
-					res.TrainMatched[j]++
-				}
-			}
 			trueSide = acts[te].AndInto(t.rs.ClassMask(res.Truth[te]), trueSide)
 			t.accumulate(res, te, sideActs[te], trueSide, out)
 		}
+	}
+	for j, u := range t.v.group {
+		res.TrainMatched[j] = uHits[u]
 	}
 	t.obs.TraceSeconds.ObserveSince(traceStart)
 	return res
@@ -469,14 +407,14 @@ func (t *Tracer) traceInto(side *bitset.Set, denom float64, label int, counts []
 	need := t.cfg.TauW*denom - 1e-12
 	// No indexed group of this label can reach the threshold: the
 	// precomputed per-group totals bound every possible overlap.
-	if t.maxTotal[label] < need {
+	if t.v.maxTotal[label] < need {
 		t.obs.EarlyRejects.Inc()
 		return nil
 	}
 	weights := t.rs.Weights()
-	cand := t.uByLabel[label]
+	cand := t.v.byLabel[label]
 	postingWork := 0
-	side.ForEach(func(r int) { postingWork += len(t.postings[r]) })
+	side.ForEach(func(r int) { postingWork += len(t.v.postings[r]) })
 
 	matched := sc.matched[:0]
 	// A posting entry (branch + float add) costs a few times more than one
@@ -495,7 +433,7 @@ func (t *Tracer) traceInto(side *bitset.Set, denom float64, label int, counts []
 		touched := sc.touched[:0]
 		side.ForEach(func(r int) {
 			w := weights[r]
-			for _, u := range t.postings[r] {
+			for _, u := range t.v.postings[r] {
 				if sc.stamp[u] != gen {
 					sc.stamp[u] = gen
 					sc.acc[u] = w
@@ -506,7 +444,7 @@ func (t *Tracer) traceInto(side *bitset.Set, denom float64, label int, counts []
 			}
 		})
 		for _, u := range touched {
-			if int(t.uLabel[u]) == label {
+			if int(t.v.label[u]) == label {
 				if sc.acc[u] >= need {
 					matched = append(matched, u)
 				}
@@ -516,13 +454,13 @@ func (t *Tracer) traceInto(side *bitset.Set, denom float64, label int, counts []
 	} else {
 		t.obs.ScanQueries.Inc()
 		for _, u := range cand {
-			if side.WeightedIntersect(t.upat[u], weights) >= need {
+			if side.WeightedIntersect(t.v.pat[u], weights) >= need {
 				matched = append(matched, u)
 			}
 		}
 	}
 	for _, u := range matched {
-		hist := t.uHist[int(u)*t.numParts : (int(u)+1)*t.numParts]
+		hist := t.hist[int(u)*t.numParts : (int(u)+1)*t.numParts]
 		for i, h := range hist {
 			counts[i] += int(h)
 		}
@@ -549,9 +487,9 @@ func (t *Tracer) accumulate(res *Result, te int, side, trueSide *bitset.Set, out
 			}
 			credit := w * float64(c)
 			if correct {
-				res.beneficialFreq[pi][ri] += credit
+				res.beneficialFreq[pi].add(ri, credit)
 			} else {
-				res.harmfulFreq[pi][ri] += credit
+				res.harmfulFreq[pi].add(ri, credit)
 			}
 		}
 	})
@@ -559,15 +497,7 @@ func (t *Tracer) accumulate(res *Result, te int, side, trueSide *bitset.Set, out
 	// that fired without training support, to guide data collection.
 	if !correct && totalRelated < t.cfg.Delta {
 		trueSide.ForEach(func(ri int) {
-			res.uncoveredRuleFreq[ri] += weights[ri]
+			res.uncoveredRuleFreq.add(ri, weights[ri])
 		})
 	}
-}
-
-func newFreqMaps(n int) []map[int]float64 {
-	out := make([]map[int]float64, n)
-	for i := range out {
-		out[i] = make(map[int]float64)
-	}
-	return out
 }

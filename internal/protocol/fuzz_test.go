@@ -39,7 +39,7 @@ func FuzzReadUpload(f *testing.F) {
 			return
 		}
 		// Any successfully decoded upload must be internally consistent.
-		if got.RuleWidth < 0 || got.Participant < 0 {
+		if got.RuleWidth < 0 || got.Participant < 0 || got.Participant >= MaxRoundParticipants {
 			t.Fatalf("decoded invalid upload: %+v", got)
 		}
 		for i, rec := range got.Records {

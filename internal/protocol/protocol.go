@@ -14,7 +14,7 @@
 //
 // Activation-upload body:
 //
-//	participant uint32
+//	participant uint32   (< MaxRoundParticipants)
 //	ruleWidth   uint32
 //	count       uint32
 //	per record: label uint8, packed activation bits (ceil(width/8) bytes)
@@ -60,8 +60,8 @@ type Upload struct {
 
 // Write encodes the upload as one framed message.
 func (u *Upload) Write(w io.Writer) error {
-	if u.Participant < 0 {
-		return fmt.Errorf("protocol: negative participant id %d", u.Participant)
+	if u.Participant < 0 || u.Participant >= MaxRoundParticipants {
+		return fmt.Errorf("protocol: participant id %d outside [0,%d)", u.Participant, MaxRoundParticipants)
 	}
 	var body bytes.Buffer
 	put32 := func(v uint32) {
@@ -172,6 +172,9 @@ func ReadUpload(r io.Reader) (*Upload, error) {
 	u := &Upload{
 		Participant: int(binary.LittleEndian.Uint32(body[0:4])),
 		RuleWidth:   int(binary.LittleEndian.Uint32(body[4:8])),
+	}
+	if u.Participant >= MaxRoundParticipants {
+		return nil, fmt.Errorf("protocol: participant id %d outside [0,%d)", u.Participant, MaxRoundParticipants)
 	}
 	count := binary.LittleEndian.Uint32(body[8:12])
 	if count > maxRecords {

@@ -375,6 +375,10 @@ func ValidateUploadFrame(b []byte) (UploadFrameInfo, error) {
 		Records:     int(binary.LittleEndian.Uint32(body[8:12])),
 		FrameLen:    len(b) - len(rest),
 	}
+	if info.Participant >= MaxRoundParticipants {
+		return UploadFrameInfo{}, fmt.Errorf("protocol: participant id %d outside [0,%d)",
+			info.Participant, MaxRoundParticipants)
+	}
 	if info.Records > maxRecords {
 		return UploadFrameInfo{}, fmt.Errorf("protocol: record count %d exceeds limit", info.Records)
 	}
@@ -393,34 +397,59 @@ func ValidateUploadFrame(b []byte) (UploadFrameInfo, error) {
 	return info, nil
 }
 
-// AppendTrainingRecords decodes one validated upload frame's records
-// directly into core.TrainingUpload values appended to dst. All of a
-// frame's activation bitsets share a single backing slab, so the decode
-// costs a constant number of allocations per frame regardless of record
-// count — the in-memory half of the zero-copy ingest path. The frame is
-// re-validated (it usually arrives from the WAL), and trailing bytes after
-// it are rejected like DecodeUpload.
-func AppendTrainingRecords(dst []core.TrainingUpload, frame []byte) ([]core.TrainingUpload, UploadFrameInfo, error) {
+// uploadRecords re-validates one whole upload frame (it usually arrives from
+// the WAL), rejecting trailing bytes like DecodeUpload, and returns its info
+// and record bytes: info.Records records of one label byte plus the packed
+// activation bits each.
+func uploadRecords(frame []byte) (UploadFrameInfo, []byte, error) {
 	info, err := ValidateUploadFrame(frame)
+	if err != nil {
+		return UploadFrameInfo{}, nil, err
+	}
+	if info.FrameLen != len(frame) {
+		return UploadFrameInfo{}, nil, fmt.Errorf("protocol: %d trailing bytes after frame", len(frame)-info.FrameLen)
+	}
+	bodyLen := int64(binary.LittleEndian.Uint32(frame[6:frameHeaderLen]))
+	return info, frame[frameHeaderLen+12 : frameHeaderLen+bodyLen], nil
+}
+
+// AppendTrainingRecords decodes one upload frame's records into
+// core.TrainingUpload values appended to dst. All of a frame's activation
+// bitsets share a single backing slab, so the decode costs a constant
+// number of allocations per frame regardless of record count.
+func AppendTrainingRecords(dst []core.TrainingUpload, frame []byte) ([]core.TrainingUpload, UploadFrameInfo, error) {
+	info, recs, err := uploadRecords(frame)
 	if err != nil {
 		return dst, UploadFrameInfo{}, err
 	}
-	if info.FrameLen != len(frame) {
-		return dst, UploadFrameInfo{}, fmt.Errorf("protocol: %d trailing bytes after frame", len(frame)-info.FrameLen)
-	}
-	body := frame[frameHeaderLen : frameHeaderLen+int64(binary.LittleEndian.Uint32(frame[6:frameHeaderLen]))]
 	slab := bitset.MakeSlab(info.Records, info.RuleWidth)
 	recBytes := 1 + (info.RuleWidth+7)/8
-	at := 12
-	for i := 0; i < info.Records; i++ {
-		s := &slab[i]
-		s.SetPackedBytes(body[at+1 : at+recBytes])
-		dst = append(dst, core.TrainingUpload{
-			Owner:       info.Participant,
-			Label:       int(body[at]),
-			Activations: s,
-		})
-		at += recBytes
+	for i := range slab {
+		rec := recs[i*recBytes : (i+1)*recBytes]
+		slab[i].SetPackedBytes(rec[1:])
+		dst = append(dst, core.TrainingUpload{Owner: info.Participant, Label: int(rec[0]), Activations: &slab[i]})
 	}
 	return dst, info, nil
+}
+
+// ExtendIndex decodes one upload frame's records straight into idx — the
+// in-memory half of the server's zero-copy ingest. Every record is unpacked
+// into one reusable set that Append only reads, so no decoded bitset
+// outlives the call. The frame's rule width must match the index's; on any
+// error idx is unchanged.
+func ExtendIndex(idx *core.Index, frame []byte) error {
+	info, recs, err := uploadRecords(frame)
+	if err != nil {
+		return err
+	}
+	if w := idx.Rules().Width(); info.RuleWidth != w {
+		return fmt.Errorf("protocol: upload rule width %d, index has %d", info.RuleWidth, w)
+	}
+	acts := bitset.New(info.RuleWidth)
+	recBytes := 1 + (info.RuleWidth+7)/8
+	for at := 0; at < len(recs); at += recBytes {
+		acts.SetPackedBytes(recs[at+1 : at+recBytes])
+		idx.Append(core.TrainingUpload{Owner: info.Participant, Label: int(recs[at]), Activations: acts})
+	}
+	return nil
 }

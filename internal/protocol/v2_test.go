@@ -2,6 +2,8 @@ package protocol
 
 import (
 	"bytes"
+	"encoding/binary"
+	"hash/crc32"
 	"math"
 	"testing"
 
@@ -319,6 +321,35 @@ func TestAppendTrainingRecordsMatchesToTrainingUploads(t *testing.T) {
 	// Trailing bytes after the frame are rejected, like DecodeUpload.
 	if _, _, err := AppendTrainingRecords(nil, append(append([]byte(nil), frame...), 0)); err == nil {
 		t.Fatal("trailing byte accepted")
+	}
+}
+
+// TestUploadParticipantBound: both upload decoders accept the same frames,
+// and neither accepts a participant id of MaxRoundParticipants or more.
+func TestUploadParticipantBound(t *testing.T) {
+	frame, err := randomUpload(stats.NewRNG(14), MaxRoundParticipants-1, 16, 2).Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ValidateUploadFrame(frame); err != nil {
+		t.Fatalf("highest participant id rejected: %v", err)
+	}
+	if _, err := DecodeUpload(frame); err != nil {
+		t.Fatalf("highest participant id rejected: %v", err)
+	}
+	for _, id := range []uint32{MaxRoundParticipants, 1 << 30} {
+		bad := append([]byte(nil), frame[:len(frame)-frameCRCLen]...)
+		binary.LittleEndian.PutUint32(bad[frameHeaderLen:], id)
+		bad = binary.LittleEndian.AppendUint32(bad, crc32.ChecksumIEEE(bad))
+		if _, err := ValidateUploadFrame(bad); err == nil {
+			t.Errorf("ValidateUploadFrame accepted participant %d", id)
+		}
+		if _, err := DecodeUpload(bad); err == nil {
+			t.Errorf("DecodeUpload accepted participant %d", id)
+		}
+	}
+	if _, err := randomUpload(stats.NewRNG(14), MaxRoundParticipants, 16, 2).Encode(); err == nil {
+		t.Error("Encode accepted participant MaxRoundParticipants")
 	}
 }
 

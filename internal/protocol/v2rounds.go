@@ -30,9 +30,11 @@ const (
 	TypeScoresSnapshot = 6
 )
 
-// MaxRoundParticipants bounds participant ids in a round-update frame. It
-// matches valuation.MaxParticipants: the engine addresses coalitions with a
-// uint64 mask, so an id of 64+ could not join any coalition.
+// MaxRoundParticipants bounds participant ids in round-update and
+// activation-upload frames. It matches valuation.MaxParticipants: the engine
+// addresses coalitions with a uint64 mask, so an id of 64+ could not join
+// any coalition, and the tracer sizes its per-group owner histograms by the
+// highest uploaded id.
 const MaxRoundParticipants = 64
 
 // roundHeaderLen is the fixed prefix of a round-update body.

@@ -40,9 +40,10 @@
 // byte-for-byte identically across restarts.
 //
 // Concurrency follows a snapshot-read pattern: mutations take a short write
-// lock, traces take an even shorter read lock to capture an immutable view,
-// and all scoring compute runs lock-free on worker goroutines — uploads and
-// traces never contend on compute.
+// lock, traces take an even shorter read lock to capture an immutable view
+// (including a prefix view of the append-only tracing index), and all
+// scoring compute runs lock-free on worker goroutines — uploads and traces
+// never contend on compute.
 package server
 
 import (
@@ -210,18 +211,20 @@ func (o Options) withDefaults() Options {
 
 // state is the federation's mutable lifecycle state. Mutations replace or
 // append — existing values are never edited in place — so a consistent
-// snapshot is just a copy of this struct taken under a read lock.
+// snapshot is a copy of this struct plus idx.View(), both taken under one
+// read lock.
 type state struct {
 	enc      *dataset.Encoder
 	encRaw   []byte // encoder JSON exactly as accepted, for snapshots
 	model    *nn.Model
 	modelRaw []byte     // model bytes exactly as accepted
 	rs       *rules.Set // its Binarized snapshot serves /v1/predict
-	uploads  []core.TrainingUpload
-	frames   [][]byte // accepted protocol frames, byte-for-byte as uploaded
-	parts    int      // highest participant id seen + 1
-	rounds   *rounds.Engine
-	evalRaw  []byte // streaming eval set CSV exactly as registered
+	// idx is the tracing index of rs's rule space, extended in place as
+	// upload frames apply; nil until a model is published.
+	idx     *core.Index
+	frames  [][]byte // accepted protocol frames, byte-for-byte as uploaded
+	rounds  *rounds.Engine
+	evalRaw []byte // streaming eval set CSV exactly as registered
 	// version counts accepted mutations; trace cache keys include it so any
 	// state change invalidates prior results.
 	version uint64
@@ -410,7 +413,7 @@ func NewWithOptions(opts Options) (*Server, error) {
 			}
 		}
 		s.log.Info("replayed durable state", "events", len(events), "data_dir", opts.DataDir,
-			"participants", s.st.parts, "records", len(s.st.uploads))
+			"participants", s.st.idx.Participants(), "records", s.st.idx.Len())
 	}
 
 	s.route("/healthz", s.handleHealth)
@@ -499,18 +502,8 @@ func (s *Server) applyEvent(ev store.Event) error {
 		s.applyModel(m, ev.Payload)
 		return nil
 	case store.EventUpload:
-		info, err := protocol.ValidateUploadFrame(ev.Payload)
-		if err != nil {
-			return err
-		}
-		if info.FrameLen != len(ev.Payload) {
-			return fmt.Errorf("%d trailing bytes after upload frame", len(ev.Payload)-info.FrameLen)
-		}
-		if s.st.rs == nil {
+		if s.st.idx == nil {
 			return errors.New("upload event before model")
-		}
-		if info.RuleWidth != s.st.rs.Width() {
-			return fmt.Errorf("upload width %d, rules %d", info.RuleWidth, s.st.rs.Width())
 		}
 		return s.applyUploadFrame(ev.Payload)
 	case store.EventRoundEval:
@@ -545,7 +538,7 @@ func (s *Server) applyEncoder(enc *dataset.Encoder, raw []byte) {
 	s.st.enc, s.st.encRaw = enc, raw
 	// A new encoding invalidates any model and uploads tied to the old one.
 	s.st.model, s.st.modelRaw, s.st.rs = nil, nil, nil
-	s.st.uploads, s.st.frames, s.st.parts = nil, nil, 0
+	s.st.idx, s.st.frames = nil, nil
 	s.st.rounds, s.st.evalRaw = nil, nil
 	s.st.version++
 }
@@ -555,24 +548,20 @@ func (s *Server) applyModel(m *nn.Model, raw []byte) {
 	s.st.rs = rules.Extract(m, s.st.enc)
 	// Uploads reference the previous model's rule space; the round stream
 	// reconstructs coalitions of the previous model's parameters.
-	s.st.uploads, s.st.frames, s.st.parts = nil, nil, 0
+	s.st.idx, s.st.frames = core.NewIndex(s.st.rs), nil
 	s.st.rounds, s.st.evalRaw = nil, nil
 	s.st.version++
 }
 
-// applyUploadFrame decodes a validated upload frame into state: records are
-// slab-decoded straight off the frame bytes, and the raw frame itself is
-// retained for snapshots — the server never re-encodes what a client sent.
+// applyUploadFrame decodes an upload frame straight into the tracing index,
+// retaining no decoded bitset, and keeps the raw frame for snapshots — the
+// server never re-encodes what a client sent. It is the one upload path of
+// the handler, WAL replay and follower replication.
 func (s *Server) applyUploadFrame(frame []byte) error {
-	uploads, info, err := protocol.AppendTrainingRecords(s.st.uploads, frame)
-	if err != nil {
+	if err := protocol.ExtendIndex(s.st.idx, frame); err != nil {
 		return err
 	}
-	s.st.uploads = uploads
 	s.st.frames = append(s.st.frames, frame)
-	if info.Participant+1 > s.st.parts {
-		s.st.parts = info.Participant + 1
-	}
 	s.st.version++
 	return nil
 }
@@ -786,8 +775,8 @@ func (s *Server) stateSummary() map[string]any {
 		"ok":           true,
 		"encoder":      s.st.enc != nil,
 		"model":        s.st.model != nil,
-		"uploads":      len(s.st.uploads),
-		"participants": s.st.parts,
+		"uploads":      s.st.idx.Len(),
+		"participants": s.st.idx.Participants(),
 		"durable":      s.store != nil,
 		"degraded":     s.degraded,
 		"version":      s.st.version,
@@ -968,7 +957,7 @@ func (s *Server) handleUploads(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	s.maybeCompactLocked()
-	writeJSON(w, http.StatusOK, map[string]int{"frames": len(frames), "records": len(s.st.uploads)})
+	writeJSON(w, http.StatusOK, map[string]int{"frames": len(frames), "records": s.st.idx.Len()})
 }
 
 // TraceResponse is the result of a completed trace job. It is the
@@ -1033,16 +1022,18 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	// Snapshot-read the federation state: the job computes on this immutable
-	// view, never under the lock.
+	// Snapshot-read the federation state: the job traces this immutable
+	// view of the index, never under the lock, however far uploads extend
+	// the index meanwhile.
 	s.mu.RLock()
 	snap := s.st
+	view := snap.idx.View()
 	s.mu.RUnlock()
 	if snap.rs == nil {
 		httpError(w, http.StatusConflict, errors.New("publish encoder and model first"))
 		return
 	}
-	if len(snap.uploads) == 0 {
+	if view.Len() == 0 {
 		httpError(w, http.StatusConflict, errors.New("no participant uploads registered"))
 		return
 	}
@@ -1065,19 +1056,7 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 
 	key := traceKey(body, tau, delta, snap.version)
 	job, err := s.engine.Submit(key, func(ctx context.Context) (any, error) {
-		tracer := core.NewTracerFromUploads(snap.rs, snap.parts, cloneUploads(snap.uploads),
-			core.Config{TauW: tau, Delta: delta, Obs: s.coreObs})
-		res := tracer.Trace(test)
-		sus := res.Suspicion(0.5)
-		return &TraceResponse{
-			Accuracy:     res.Accuracy(),
-			CoverageGap:  res.CoverageGap(),
-			Micro:        res.MicroScores(),
-			Macro:        res.MacroScores(),
-			LossRatio:    sus.Ratio,
-			UselessRatio: res.UselessRatio(),
-			Suspects:     sus.Suspects,
-		}, nil
+		return traceResponse(view.Tracer(core.Config{TauW: tau, Delta: delta, Obs: s.coreObs}).Trace(test)), nil
 	})
 	switch {
 	case errors.Is(err, jobs.ErrQueueFull):
@@ -1106,6 +1085,20 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 	}
 	w.Header().Set("Location", "/v1/trace/"+job.ID())
 	writeJSON(w, http.StatusAccepted, jobResponse(jv))
+}
+
+// traceResponse is the job result a trace job serves for res.
+func traceResponse(res *core.Result) *TraceResponse {
+	sus := res.Suspicion(0.5)
+	return &TraceResponse{
+		Accuracy:     res.Accuracy(),
+		CoverageGap:  res.CoverageGap(),
+		Micro:        res.MicroScores(),
+		Macro:        res.MacroScores(),
+		LossRatio:    sus.Ratio,
+		UselessRatio: res.UselessRatio(),
+		Suspects:     sus.Suspects,
+	}
 }
 
 // acceptsFrame reports whether the request negotiated the binary v2
@@ -1168,16 +1161,6 @@ func traceKey(body []byte, tau float64, delta int, version uint64) string {
 	h.Write(meta[:])
 	h.Write(body)
 	return fmt.Sprintf("%x", h.Sum(nil))
-}
-
-// cloneUploads protects the registered uploads from the tracer's in-place
-// class-side masking, so traces stay repeatable.
-func cloneUploads(ups []core.TrainingUpload) []core.TrainingUpload {
-	out := make([]core.TrainingUpload, len(ups))
-	for i, u := range ups {
-		out[i] = core.TrainingUpload{Owner: u.Owner, Label: u.Label, Activations: u.Activations.Clone()}
-	}
-	return out
 }
 
 // RuleJSON is one rule in GET /v1/rules responses.

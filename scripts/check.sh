@@ -56,6 +56,10 @@ go test -run=TestEvalCoalitionSteadyStateAllocs -count=1 -v ./internal/rounds/ |
 go test -run=TestDisabledInjectorZeroAlloc -count=1 -v ./internal/faults/ | grep -E 'PASS|FAIL|allocates'
 go test -run=TestUtilityCacheHitZeroAlloc -count=1 -v ./internal/valuation/ | grep -E 'PASS|FAIL|allocates'
 
+echo "== zero-alloc pins (tracing kernel; index append into an existing group)"
+go test -run=TestTraceKernelAllocs -count=1 -v ./internal/core/ | grep -E 'PASS|FAIL|allocates'
+go test -run=TestIndexAppendExistingGroupZeroAlloc -count=1 -v ./internal/core/ | grep -E 'PASS|FAIL|allocates'
+
 echo "== zero-alloc pins (wire-protocol ingest + predict hot paths)"
 go test -run=TestValidateUploadFrameZeroAlloc -count=1 -v ./internal/protocol/ | grep -E 'PASS|FAIL|allocates'
 go test -run=TestValidateRoundUpdateFrameZeroAlloc -count=1 -v ./internal/protocol/ | grep -E 'PASS|FAIL|allocates'
