@@ -11,8 +11,9 @@ import (
 // weight of every node. It is the package's only discrete evaluator: it
 // serves inference (/v1/predict, rule activations for the tracer), the
 // model's batch entry points (Accuracy, CountCorrect, PredictBatch, each of
-// which compiles a pooled snapshot per call) and grafted training (one
-// Model-owned snapshot recompiled per batch).
+// which compiles a pooled snapshot per call), grafted training (one
+// Model-owned snapshot recompiled per batch) and streaming valuation (one
+// pooled snapshot per coalition, filled by a Patch).
 //
 // The snapshot is immutable once compiled: training the model further does
 // not update it. Build it once after training (rule extraction does this)
@@ -44,9 +45,9 @@ func (m *Model) Binarize() *Binarized {
 }
 
 // compile fills b from m's current weights, reusing b's storage: once the
-// slab has grown to the model's selection size it allocates nothing. This is
-// the only place a logical weight is compared with the 0.5 binarization
-// threshold.
+// slab has grown to the model's selection size it allocates nothing. It,
+// WeightSide and Selected (patch.go) are the only places a logical weight is
+// compared with the 0.5 binarization threshold.
 func (b *Binarized) compile(m *Model) {
 	b.inDim, b.ruleDim, b.layers = m.inDim, m.ruleDim, m.layers
 	b.workers = m.workerCount()

@@ -291,16 +291,11 @@ func (m *Model) Accuracy(xs [][]float64, ys []int) float64 {
 }
 
 // CountCorrect returns how many rows of xs the deployed model labels as
-// ys. Serial and allocation-free in steady state (pooled snapshot and
-// buffers, no prediction slice, no worker fan-out): the streaming valuation
-// engine's per-coalition scorer, where concurrency already lives above the
-// model and any per-call allocation multiplies across thousands of
-// evaluations.
+// ys: Binarized.CountCorrect on a pooled snapshot, serial and
+// allocation-free in steady state.
 func (m *Model) CountCorrect(xs [][]float64, ys []int) int {
 	b := m.snapshot()
-	buf := b.getBuf()
-	ok := b.countCorrect(xs, ys, buf)
-	b.bufs.Put(buf)
+	ok := b.CountCorrect(xs, ys)
 	m.snaps.Put(b)
 	return ok
 }

@@ -212,8 +212,21 @@ func (u RoundUpdate) Weight(i int) float64 {
 }
 
 // Param returns participant i's j-th parameter, bit-exactly as sent.
-func (u RoundUpdate) Param(i, j int) float64 {
-	return math.Float64frombits(binary.LittleEndian.Uint64(u.raw[i*u.stride()+12+8*j:]))
+func (u RoundUpdate) Param(i, j int) float64 { return u.Row(i).At(j) }
+
+// ParamRow is one participant's flat parameter vector: ParamCount
+// little-endian float64 values aliasing the frame.
+type ParamRow []byte
+
+// Row returns participant i's parameters as a zero-copy view.
+func (u RoundUpdate) Row(i int) ParamRow {
+	at := i*u.stride() + 12
+	return ParamRow(u.raw[at : at+8*u.ParamCount])
+}
+
+// At returns parameter j, bit-exactly as sent.
+func (r ParamRow) At(j int) float64 {
+	return math.Float64frombits(binary.LittleEndian.Uint64(r[8*j:]))
 }
 
 // Participant materializes record i (copying its parameters).

@@ -1,8 +1,12 @@
 package rounds
 
 import (
+	"sync"
 	"testing"
 
+	"repro/internal/dataset"
+	"repro/internal/fedsim"
+	"repro/internal/fl"
 	"repro/internal/nn"
 	"repro/internal/protocol"
 	"repro/internal/stats"
@@ -149,5 +153,91 @@ func BenchmarkBatchRevaluation(b *testing.B) {
 		for _, u := range updates {
 			benchIngest(b, e, u)
 		}
+	}
+}
+
+// computeWorld is the shape of bench/'s stream workload: a fedsim-trained
+// adult federation of 8 participants with one 64-node logical layer, its 16
+// rounds of updates, and a 128-row evaluation set.
+type computeWorld struct {
+	model        *nn.Model
+	evalX        [][]float64
+	evalY        []int
+	rounds       [][]protocol.RoundParticipant
+	contestedAll [][]protocol.RoundParticipant
+}
+
+var (
+	computeOnce sync.Once
+	computeVal  *computeWorld
+	computeErr  error
+)
+
+func buildComputeWorld() (*computeWorld, error) {
+	const participants, rowsEach, evalRows, rounds = 8, 400, 128, 16
+	r := stats.NewRNG(1)
+	enc, err := dataset.NewEncoder(dataset.AdultSchema(), 8, r)
+	if err != nil {
+		return nil, err
+	}
+	parts := fl.PartitionSkewSample(dataset.Adult(r, participants*rowsEach), participants, 1.0, r)
+	eval := dataset.Adult(r, evalRows)
+	cfg := nn.Config{Hidden: []int{64}, Grafting: true, Seed: 1, L1Logic: 2e-4, L2Head: 1e-3, KeepBest: true}
+	sim, err := fedsim.Run(enc, parts, eval, fedsim.Config{Rounds: rounds, LocalEpochs: 1, Model: cfg, Seed: 1})
+	if err != nil {
+		return nil, err
+	}
+	w := &computeWorld{model: sim.Model}
+	w.evalX, w.evalY = enc.EncodeTable(eval)
+	// Every parameter before the head weights and bias is a logical weight.
+	logical := len(sim.Model.Params()) - sim.Model.RuleDim() - 1
+	for _, ups := range sim.Updates {
+		trained, contested := toParts(ups), toParts(ups)
+		for i := range contested {
+			ps := append([]float64(nil), contested[i].Params...)
+			for j := range ps[:logical] {
+				ps[j] = []float64{0.25, 0.75}[(i+j)%2]
+			}
+			contested[i].Params = ps
+		}
+		w.rounds = append(w.rounds, trained)
+		w.contestedAll = append(w.contestedAll, contested)
+	}
+	return w, nil
+}
+
+// BenchmarkRoundCompute measures Compute on one round at bench's stream
+// shape: 16 permutations, no between-round skipping. "trained" cycles the
+// fedsim rounds, whose members disagree on 35–110 of the 10,688 logical
+// weights per round. "contested=all" keeps their head weights but has the
+// members alternate 0.25 and 0.75 on every logical weight, so each one is
+// contested and every mixed coalition averages all of them.
+func BenchmarkRoundCompute(b *testing.B) {
+	computeOnce.Do(func() { computeVal, computeErr = buildComputeWorld() })
+	if computeErr != nil {
+		b.Fatal(computeErr)
+	}
+	w := computeVal
+	for _, bc := range []struct {
+		name   string
+		rounds [][]protocol.RoundParticipant
+	}{{"trained", w.rounds}, {"contested=all", w.contestedAll}} {
+		b.Run(bc.name, func(b *testing.B) {
+			e, err := New(Config{Model: w.model, EvalX: w.evalX, EvalY: w.evalY, Permutations: 16, Seed: 5, Epsilon: -1})
+			if err != nil {
+				b.Fatal(err)
+			}
+			us := make([]protocol.RoundUpdate, len(bc.rounds))
+			for i, parts := range bc.rounds {
+				us[i] = benchUpdate(b, i, parts)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := e.Compute(us[i%len(us)]); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

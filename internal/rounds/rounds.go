@@ -5,9 +5,12 @@
 //
 // Instead of retraining a model per coalition (the batch oracle in
 // internal/valuation), each round's coalition models are *reconstructed* by
-// weighted aggregation of the updates the clients already sent — one model
-// build plus one evaluation per distinct coalition, no gradient steps. Two
-// truncations keep the per-round cost sublinear in practice:
+// weighted aggregation of the updates the clients already sent, with no
+// gradient steps. Each round is planned once (plan.go): the logical weights
+// every member puts on one side of the binarization threshold are compiled
+// once, and a coalition averages and patches only the contested rest plus
+// the head before its one evaluation. Two truncations keep the per-round
+// cost sublinear in practice:
 //
 //   - between rounds: when the grand-coalition utility moved less than
 //     Epsilon since the previous scored round, the whole round is skipped
@@ -56,10 +59,11 @@ var ErrConflict = errors.New("rounds: engine advanced since outcome was computed
 
 // Config parameterizes an Engine. Model, EvalX and EvalY are required.
 type Config struct {
-	// Model is the architecture template for coalition reconstruction: each
-	// evaluation clones it and overwrites its parameters with the weighted
-	// aggregate of the coalition's updates. Round-update frames must carry
-	// exactly len(Model.Params()) parameters.
+	// Model is the architecture template for coalition reconstruction. Only
+	// its shape is used: each round compiles the logical weights its members
+	// agree on into one snapshot of that shape, and each coalition patches
+	// it with the weighted aggregate of the rest. Round-update frames must
+	// carry exactly len(Model.Params()) parameters.
 	Model *nn.Model
 	// EvalX/EvalY is the encoded held-out evaluation set coalition utilities
 	// are measured on (accuracy).
@@ -133,20 +137,10 @@ type Engine struct {
 	evals      atomic.Int64
 	truncWalks atomic.Int64
 
-	// scratch pools per-coalition-evaluation working sets (one model clone
-	// plus its aggregation buffer). A round evaluates tens to thousands of
-	// coalitions and every one used to pay a full Clone — random weight
-	// init, RNG seeding, fresh Adam state — only to overwrite all of it
-	// with SetParams. The pool self-sizes to the engine's worker count.
+	// scratch pools per-coalition-evaluation working sets (*evalScratch):
+	// a round evaluates tens to thousands of coalitions, and the pool
+	// self-sizes to the engine's worker count.
 	scratch sync.Pool
-}
-
-// evalScratch is one coalition evaluation's working set: a reusable model
-// whose parameters are overwritten per evaluation, and the flat buffer the
-// coalition's weighted aggregate is accumulated in.
-type evalScratch struct {
-	m   *nn.Model
-	agg []float64
 }
 
 // New builds an engine. The empty-coalition utility is the evaluation set's
@@ -269,9 +263,7 @@ func (e *Engine) Compute(u protocol.RoundUpdate) (*Outcome, error) {
 	}
 
 	start := time.Now()
-	oracle, err := valuation.NewFuncOracle(u.Count, func(mask uint64) (float64, error) {
-		return e.evalCoalition(u, mask)
-	})
+	oracle, err := valuation.NewFuncOracle(u.Count, e.newPlan(u).evalCoalition)
 	if err != nil {
 		return nil, err
 	}
@@ -386,51 +378,6 @@ func (e *Engine) applyLocked(out *Outcome, payload []byte) {
 	e.updateQualityLocked(out)
 	close(e.updated)
 	e.updated = make(chan struct{})
-}
-
-// evalCoalition reconstructs the coalition's model — the weighted average
-// of its members' update parameters, FedAvg semantics over the members
-// present in this round — and measures its accuracy on the evaluation set.
-// Safe for concurrent use: every call works on its own clone and scratch.
-//
-// For the grand coalition this reproduces fedsim's aggregation arithmetic
-// exactly (same member order, same float operations), so the reconstructed
-// full model is bit-identical to the global model the round produced.
-func (e *Engine) evalCoalition(u protocol.RoundUpdate, mask uint64) (float64, error) {
-	if mask == 0 {
-		return e.emptyUtility, nil
-	}
-	var totalW float64
-	for i := 0; i < u.Count; i++ {
-		if mask&(1<<uint(i)) != 0 {
-			totalW += u.Weight(i)
-		}
-	}
-	sc, _ := e.scratch.Get().(*evalScratch)
-	if sc == nil {
-		sc = &evalScratch{m: e.cfg.Model.Clone(), agg: make([]float64, e.paramCount)}
-	}
-	defer e.scratch.Put(sc)
-	agg := sc.agg
-	// Zeroing keeps the accumulation arithmetic bit-identical to a fresh
-	// allocation (the determinism contract covers the float op sequence).
-	clear(agg)
-	for i := 0; i < u.Count; i++ {
-		if mask&(1<<uint(i)) == 0 {
-			continue
-		}
-		w := u.Weight(i) / totalW
-		for j := range agg {
-			agg[j] += w * u.Param(i, j)
-		}
-	}
-	if err := sc.m.SetParams(agg); err != nil {
-		return 0, err
-	}
-	// CountCorrect instead of Accuracy: same division, but serial and
-	// allocation-free — evaluation concurrency lives in the oracle above.
-	ok := sc.m.CountCorrect(e.cfg.EvalX, e.cfg.EvalY)
-	return float64(ok) / float64(len(e.cfg.EvalX)), nil
 }
 
 // permSeed derives the per-round permutation seed: a fixed mix of the

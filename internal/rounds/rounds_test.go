@@ -36,7 +36,7 @@ var (
 	fixErr  error
 )
 
-func buildStreamFixture() (*streamFixture, error) {
+func buildStreamFixture(hidden []int) (*streamFixture, error) {
 	tab := dataset.TicTacToe()
 	r := stats.NewRNG(23)
 	train, test := tab.Split(r, 0.25)
@@ -67,7 +67,7 @@ func buildStreamFixture() (*streamFixture, error) {
 	parts[3] = fl.FlipLabels(parts[3], 0.60, r)
 	parts[4] = fl.FlipLabels(parts[4], 1.0, r)
 
-	model := nn.Config{Hidden: []int{16}, Seed: 7, BatchSize: 128}
+	model := nn.Config{Hidden: hidden, Seed: 7, BatchSize: 128}
 	trainer := fl.NewTrainer(enc, fl.TrainConfig{
 		Rounds: 2, LocalEpochs: 3, Parallel: true, Model: model, Seed: 23,
 	})
@@ -86,7 +86,7 @@ func buildStreamFixture() (*streamFixture, error) {
 
 func fixture(t *testing.T) *streamFixture {
 	t.Helper()
-	fixOnce.Do(func() { fixVal, fixErr = buildStreamFixture() })
+	fixOnce.Do(func() { fixVal, fixErr = buildStreamFixture([]int{16}) })
 	if fixErr != nil {
 		t.Fatal(fixErr)
 	}
@@ -418,17 +418,18 @@ func TestOutcomeCodecRoundTrip(t *testing.T) {
 
 // TestEvalCoalitionSteadyStateAllocs pins the scratch pooling: once the
 // per-evaluation pool is warm, reconstructing and scoring a coalition heap-
-// allocates nothing — the model clone and aggregation buffer are reused
-// (BENCH_7 measured 1043 allocs/op on BenchmarkIncrementalScores before the
-// pool; a regression here is how that number comes back).
+// allocates nothing — the averaging buffers and the patched snapshot are
+// reused (BENCH_7 measured 1043 allocs/op on BenchmarkIncrementalScores
+// before the pool; a regression here is how that number comes back).
 func TestEvalCoalitionSteadyStateAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops cached items under -race")
 	}
 	const width, nParts = 10, 4
-	// Workers=1 keeps Accuracy on its serial path: worker goroutines would
-	// charge their stacks to AllocsPerRun and make the pin flaky.
-	model, err := nn.New(width, nn.Config{Hidden: []int{6}, Seed: 3, Workers: 1})
+	// The coalitions are scored directly, not through the oracle, and a
+	// snapshot's CountCorrect is serial: no worker goroutine charges its
+	// stack to AllocsPerRun.
+	model, err := nn.New(width, nn.Config{Hidden: []int{6}, Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -469,14 +470,15 @@ func TestEvalCoalitionSteadyStateAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	p := e.newPlan(u)
 	full := uint64(1)<<nParts - 1
-	if _, err := e.evalCoalition(u, full); err != nil { // warm the pool
+	if _, err := p.evalCoalition(full); err != nil { // warm the pool
 		t.Fatal(err)
 	}
 	mask := uint64(0)
 	avg := testing.AllocsPerRun(50, func() {
 		mask = mask%full + 1 // cycle every non-empty coalition
-		if _, err := e.evalCoalition(u, mask); err != nil {
+		if _, err := p.evalCoalition(mask); err != nil {
 			t.Fatal(err)
 		}
 	})

@@ -175,19 +175,16 @@ func (s *Server) handleRoundUpdate(w http.ResponseWriter, r *http.Request) {
 		httpError(w, maxBytesCode(err, http.StatusBadRequest), err)
 		return
 	}
-	info, err := protocol.ValidateRoundUpdateFrame(body)
+	// One CRC check and one structural walk: ParseRoundUpdate validates
+	// everything ValidateRoundUpdateFrame does.
+	f, rest, err := protocol.ParseFrame(body)
 	if err != nil {
 		httpError(w, http.StatusBadRequest, err)
 		return
 	}
-	if info.FrameLen != len(body) {
+	if len(rest) != 0 {
 		httpError(w, http.StatusBadRequest,
-			fmt.Errorf("%d trailing bytes after round-update frame", len(body)-info.FrameLen))
-		return
-	}
-	f, _, err := protocol.ParseFrame(body)
-	if err != nil {
-		httpError(w, http.StatusBadRequest, err)
+			fmt.Errorf("%d trailing bytes after round-update frame", len(rest)))
 		return
 	}
 	u, err := protocol.ParseRoundUpdate(f)

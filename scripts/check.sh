@@ -80,7 +80,7 @@ go test -run=NONE -bench='BenchmarkOracleBatch|BenchmarkSampledShapleyParallel' 
     ./internal/valuation/
 go test -run=NONE -bench='BenchmarkTraceResult|BenchmarkUploadIngest' -benchtime=1x \
     ./internal/protocol/
-go test -run=NONE -bench='BenchmarkRoundIngest|BenchmarkIncrementalScores' -benchtime=1x \
+go test -run=NONE -bench='BenchmarkRoundIngest|BenchmarkIncrementalScores|BenchmarkRoundCompute' -benchtime=1x \
     ./internal/rounds/
 go test -run=NONE -bench='BenchmarkFlightRecord' -benchtime=1x \
     ./internal/flight/
