@@ -254,7 +254,7 @@ func BenchmarkAblationGrafting(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				m.Train(xtr, ytr)
+				m.TrainEpochs(xtr, ytr, m.Config().Epochs)
 				acc = m.Accuracy(xte, yte)
 			}
 			b.ReportMetric(acc, "binarized-accuracy")

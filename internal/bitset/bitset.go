@@ -91,17 +91,6 @@ func (s *Set) SetPackedBytes(packed []byte) {
 	}
 }
 
-// FromBools returns a Set whose i-th bit mirrors b[i].
-func FromBools(b []bool) *Set {
-	s := New(len(b))
-	for i, v := range b {
-		if v {
-			s.Set(i)
-		}
-	}
-	return s
-}
-
 // Width reports the number of addressable bits.
 func (s *Set) Width() int { return s.width }
 
@@ -136,37 +125,6 @@ func (s *Set) Count() int {
 		n += bits.OnesCount64(w)
 	}
 	return n
-}
-
-// Any reports whether at least one bit is set.
-func (s *Set) Any() bool {
-	for _, w := range s.words {
-		if w != 0 {
-			return true
-		}
-	}
-	return false
-}
-
-// IntersectCount returns |s ∩ o|. Both sets must have the same width.
-func (s *Set) IntersectCount(o *Set) int {
-	s.sameWidth(o)
-	n := 0
-	for i, w := range s.words {
-		n += bits.OnesCount64(w & o.words[i])
-	}
-	return n
-}
-
-// ContainsAll reports whether every bit set in o is also set in s (o ⊆ s).
-func (s *Set) ContainsAll(o *Set) bool {
-	s.sameWidth(o)
-	for i, w := range o.words {
-		if w&^s.words[i] != 0 {
-			return false
-		}
-	}
-	return true
 }
 
 // Equal reports whether s and o have identical width and bits.
@@ -210,24 +168,6 @@ func (s *Set) AndInto(o, dst *Set) *Set {
 		dst.words[i] = w & o.words[i]
 	}
 	return dst
-}
-
-// Or sets s = s ∪ o and returns s.
-func (s *Set) Or(o *Set) *Set {
-	s.sameWidth(o)
-	for i := range s.words {
-		s.words[i] |= o.words[i]
-	}
-	return s
-}
-
-// AndNot sets s = s \ o and returns s.
-func (s *Set) AndNot(o *Set) *Set {
-	s.sameWidth(o)
-	for i := range s.words {
-		s.words[i] &^= o.words[i]
-	}
-	return s
 }
 
 // ForEach calls fn with the position of every set bit in ascending order.

@@ -11,7 +11,7 @@ func TestMakeSlabIndependence(t *testing.T) {
 	sets[1].Set(0)
 	sets[1].Set(69)
 	for _, i := range []int{0, 2} {
-		if sets[i].Any() {
+		if sets[i].Count() != 0 {
 			t.Fatalf("set %d dirtied by neighbour writes", i)
 		}
 	}
@@ -23,7 +23,7 @@ func TestMakeSlabIndependence(t *testing.T) {
 	}
 	// Width-0 sets are legal, mirroring New(0).
 	for _, s := range MakeSlab(2, 0) {
-		if s.Width() != 0 || s.Any() {
+		if s.Width() != 0 || s.Count() != 0 {
 			t.Fatalf("width-0 slab set = %+v", s)
 		}
 	}

@@ -116,30 +116,6 @@ func (r *Ring) Lookup(key string) string {
 	return r.nodes[r.owner(hashString(r.seed, key))]
 }
 
-// LookupN returns the key's preference list: the owner followed by the
-// next n-1 distinct members walking clockwise. It is the replica set for
-// the key (leader first). n is clamped to the member count.
-func (r *Ring) LookupN(key string, n int) []string {
-	if n <= 0 {
-		return nil
-	}
-	if n > len(r.nodes) {
-		n = len(r.nodes)
-	}
-	out := make([]string, 0, n)
-	seen := make(map[int32]struct{}, n)
-	i := r.search(hashString(r.seed, key))
-	for len(out) < n {
-		p := r.points[i%len(r.points)]
-		if _, dup := seen[p.node]; !dup {
-			seen[p.node] = struct{}{}
-			out = append(out, r.nodes[p.node])
-		}
-		i++
-	}
-	return out
-}
-
 // search finds the index of the first ring point at or after h, wrapping
 // to 0 past the last point.
 func (r *Ring) search(h uint64) int {

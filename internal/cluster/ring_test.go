@@ -92,29 +92,6 @@ func TestRingMembershipChangeRemapsMinority(t *testing.T) {
 	}
 }
 
-func TestRingLookupN(t *testing.T) {
-	r := mustRing(t, []string{"node-a", "node-b", "node-c"}, Config{})
-	for i := 0; i < 100; i++ {
-		key := fmt.Sprintf("fed-%03d", i)
-		pref := r.LookupN(key, 2)
-		if len(pref) != 2 {
-			t.Fatalf("LookupN(%q, 2) = %v", key, pref)
-		}
-		if pref[0] != r.Lookup(key) {
-			t.Fatalf("preference list head %q != Lookup %q", pref[0], r.Lookup(key))
-		}
-		if pref[0] == pref[1] {
-			t.Fatalf("duplicate member in preference list %v", pref)
-		}
-	}
-	if got := r.LookupN("fed-0", 10); len(got) != 3 {
-		t.Fatalf("LookupN beyond ring size = %v, want all 3 members", got)
-	}
-	if got := r.LookupN("fed-0", 0); got != nil {
-		t.Fatalf("LookupN(0) = %v, want nil", got)
-	}
-}
-
 func TestRingContains(t *testing.T) {
 	r := mustRing(t, []string{"node-a", "node-b"}, Config{})
 	if !r.Contains("node-a") || r.Contains("node-z") {

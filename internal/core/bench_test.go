@@ -44,7 +44,7 @@ func benchFixtureCfg(b *testing.B, trainRows, testRows int, cfg Config) (*Tracer
 	if err != nil {
 		b.Fatal(err)
 	}
-	m.Train(xs, ys)
+	m.TrainEpochs(xs, ys, m.Config().Epochs)
 	rs := rules.Extract(m, enc)
 	parts := fl.PartitionSkewSample(train, 8, 2.0, r)
 	return NewTracer(rs, parts, cfg), test
@@ -72,8 +72,8 @@ func BenchmarkTraceIndexedObserved(b *testing.B) {
 	}
 }
 
-// BenchmarkTraceActivations measures the single-pattern Eq. 4 primitive
-// (the multiclass extension's entry point) on rotating test patterns.
+// BenchmarkTraceActivations measures the single-pattern Eq. 4 primitive,
+// traceOne, on rotating test patterns.
 func BenchmarkTraceActivations(b *testing.B) {
 	tracer, test := benchFixture(b, 4000, 64)
 	acts, pred := tracer.Rules().ActivationsTable(test)
@@ -81,10 +81,11 @@ func BenchmarkTraceActivations(b *testing.B) {
 	for i, a := range acts {
 		sides[i] = a.Clone().And(tracer.Rules().ClassMask(pred[i]))
 	}
+	weights := tracer.Rules().Weights()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		s := i % len(sides)
-		_ = tracer.TraceActivations(sides[s], pred[s])
+		_ = tracer.traceOne(sides[s], sides[s].WeightedCount(weights), pred[s])
 	}
 }
 

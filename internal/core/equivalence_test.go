@@ -94,8 +94,9 @@ func TestPropertyTraceActivationsMatchesLinearScanRandom(t *testing.T) {
 				}
 			}
 			label := r.Intn(2)
-			got := tr.TraceActivations(side, label)
-			want, _ := referenceTraceOne(tr, fx.ups, side, side.WeightedCount(weights), label)
+			denom := side.WeightedCount(weights)
+			got := tr.traceOne(side, denom, label).counts
+			want, _ := referenceTraceOne(tr, fx.ups, side, denom, label)
 			for i := range want {
 				if got[i] != want[i] {
 					return false

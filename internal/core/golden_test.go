@@ -40,7 +40,7 @@ func goldenFixture(t testing.TB) (*rules.Set, []*fl.Participant, *dataset.Table)
 	if err != nil {
 		t.Fatal(err)
 	}
-	m.Train(xs, ys)
+	m.TrainEpochs(xs, ys, m.Config().Epochs)
 	rs := rules.Extract(m, enc)
 	parts := fl.PartitionSkewLabel(train, 4, 0.8, r)
 	return rs, parts, test
@@ -98,8 +98,8 @@ func TestGoldenTrace(t *testing.T) {
 	}
 }
 
-// TestGoldenTraceActivations locks the multiclass entry point: per-pattern
-// counts for every test activation pattern on both class sides.
+// TestGoldenTraceActivations locks the single-pattern Eq. 4 primitive:
+// per-pattern counts for every test activation pattern on its class side.
 func TestGoldenTraceActivations(t *testing.T) {
 	rs, parts, test := goldenFixture(t)
 	tracer := NewTracer(rs, parts, Config{TauW: 0.9})
@@ -107,11 +107,11 @@ func TestGoldenTraceActivations(t *testing.T) {
 	h := uint32(0)
 	for i, a := range acts {
 		side := a.Clone().And(rs.ClassMask(pred[i]))
-		h = hashInts(h, tracer.TraceActivations(side, pred[i])...)
+		h = hashInts(h, tracer.traceOne(side, side.WeightedCount(rs.Weights()), pred[i]).counts...)
 	}
 	const want = 0xd78c58a2
 	if h != want {
-		t.Errorf("golden TraceActivations hash %#08x, want %#08x", h, want)
+		t.Errorf("golden traceOne hash %#08x, want %#08x", h, want)
 	}
 }
 

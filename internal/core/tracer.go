@@ -113,7 +113,7 @@ func NewTracerFromUploads(rs *rules.Set, numParts int, uploads []TrainingUpload,
 // numParts participants (at least the view's highest owner + 1).
 func newTracer(v View, numParts int, cfg Config) *Tracer {
 	cfg = cfg.withDefaults()
-	if cfg.TauW <= 0 || cfg.TauW > 1 {
+	if !(cfg.TauW > 0 && cfg.TauW <= 1) {
 		panic(fmt.Sprintf("core: TauW must be in (0,1], got %v", cfg.TauW))
 	}
 	t := &Tracer{cfg: cfg, obs: cfg.Obs, rs: v.rs, numParts: numParts, v: v}
@@ -344,16 +344,6 @@ func (t *Tracer) Trace(test *dataset.Table) *Result {
 	}
 	t.obs.TraceSeconds.ObserveSince(traceStart)
 	return res
-}
-
-// TraceActivations runs Eq. 4 for one explicit class-side activation set:
-// it returns the per-participant related-instance counts among training
-// uploads of the given label. This is the low-level primitive used by the
-// one-vs-rest multi-class extension (internal/multiclass), which supplies
-// its own prediction logic and therefore cannot use Trace directly.
-func (t *Tracer) TraceActivations(side *bitset.Set, label int) []int {
-	denom := side.WeightedCount(t.rs.Weights())
-	return t.traceOne(side, denom, label).counts
 }
 
 // traceOne computes Eq. 4 for one activation pattern: related training

@@ -272,10 +272,6 @@ func TestEncoderWidthAndNames(t *testing.T) {
 	if got := e.PredicateName(2); got != "col = <unknown>" {
 		t.Fatalf("PredicateName(2) = %q", got)
 	}
-	off, cnt := e.FeatureOffset(1)
-	if off != 3 || cnt != 6 {
-		t.Fatalf("FeatureOffset(1) = (%d,%d), want (3,6)", off, cnt)
-	}
 }
 
 func TestEncoderEncode(t *testing.T) {

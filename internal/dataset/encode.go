@@ -96,12 +96,6 @@ func (e *Encoder) PredicateName(i int) string {
 	return e.names[i]
 }
 
-// FeatureOffset returns the first predicate index of feature j and the
-// predicate count of that feature.
-func (e *Encoder) FeatureOffset(j int) (offset, count int) {
-	return e.offsets[j], e.offsets[j+1] - e.offsets[j]
-}
-
 // Encode fills dst (length Width) with the {0,1} predicate vector of in.
 // If dst is nil a new slice is allocated. The filled slice is returned.
 func (e *Encoder) Encode(in Instance, dst []float64) []float64 {

@@ -33,7 +33,7 @@ func TestPropertyBinarizedMatchesForward(t *testing.T) {
 		if err != nil {
 			panic(err)
 		}
-		m.Train(xs, ys)
+		m.TrainEpochs(xs, ys, m.cfg.Epochs)
 		// Real-valued rows, negative and above 1 included, with exact zeros
 		// mixed in so conjunctions still take their early exit.
 		for i := 0; i < 20; i++ {
@@ -90,13 +90,13 @@ func TestBinarizedSnapshot(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m.Train(xs, ys)
+	m.TrainEpochs(xs, ys, m.cfg.Epochs)
 	b := m.Binarize()
 	before := make([]float64, len(xs))
 	for i, x := range xs {
 		before[i] = b.Score(x)
 	}
-	m.Train(xs, ys) // keep training the model
+	m.TrainEpochs(xs, ys, m.cfg.Epochs) // keep training the model
 	for i, x := range xs {
 		if b.Score(x) != before[i] {
 			t.Fatalf("snapshot drifted at row %d", i)
@@ -114,7 +114,7 @@ func TestSharedModelInferenceConcurrent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m.Train(xs, ys)
+	m.TrainEpochs(xs, ys, m.cfg.Epochs)
 	b := m.Binarize()
 	wantAcc, wantOK, wantPred := m.Accuracy(xs, ys), m.CountCorrect(xs, ys), m.PredictBatch(xs)
 	wantScores, _ := b.ScoreAndActivationsBatch(xs)

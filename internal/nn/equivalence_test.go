@@ -194,7 +194,7 @@ func TestPropertyTrainingDeterministic(t *testing.T) {
 		if err != nil {
 			panic(err)
 		}
-		if a.Train(xs, ys) != b.Train(xs, ys) {
+		if a.TrainEpochs(xs, ys, a.cfg.Epochs) != b.TrainEpochs(xs, ys, b.cfg.Epochs) {
 			return false
 		}
 		pa, pb := a.Params(), b.Params()

@@ -20,7 +20,7 @@ func TestFreezeBiasKeepsBiasZero(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m.Train(xorXS, xorYS)
+	m.TrainEpochs(xorXS, xorYS, m.cfg.Epochs)
 	if m.HeadBias() != 0 {
 		t.Fatalf("bias = %v after training with FreezeBias", m.HeadBias())
 	}
@@ -37,7 +37,7 @@ func TestKeepBestNeverWorseThanFinalEpoch(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		m.Train(xorXS, xorYS)
+		m.TrainEpochs(xorXS, xorYS, m.cfg.Epochs)
 		return m
 	}
 	plain := build(false).Accuracy(xorXS, xorYS)
@@ -54,7 +54,7 @@ func TestL1LogicPrunesOperands(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		m.Train(xorXS, xorYS)
+		m.TrainEpochs(xorXS, xorYS, m.cfg.Epochs)
 		n := 0
 		for _, spec := range m.Binarize().RuleSpecs() {
 			n += len(spec.Selected)
@@ -74,7 +74,7 @@ func TestL2HeadBoundsWeights(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		m.Train(xorXS, xorYS)
+		m.TrainEpochs(xorXS, xorYS, m.cfg.Epochs)
 		s := 0.0
 		for _, w := range m.HeadWeights() {
 			s += w * w
@@ -93,7 +93,7 @@ func TestLogicalWeightsStayInUnitInterval(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m.Train(xorXS, xorYS)
+	m.TrainEpochs(xorXS, xorYS, m.cfg.Epochs)
 	p := m.Params()
 	logicEnd := m.numParams() - m.RuleDim() - 1
 	for i := 0; i < logicEnd; i++ {
@@ -171,7 +171,7 @@ func TestXNORLearnableWithConjunctions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m.Train(xorXS, xorYS)
+	m.TrainEpochs(xorXS, xorYS, m.cfg.Epochs)
 	if acc := m.Accuracy(xorXS, xorYS); acc < 1 {
 		t.Fatalf("XNOR accuracy = %v, want 1 (needs two conj rules)", acc)
 	}

@@ -64,7 +64,7 @@ func TestGoldenTraining(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			loss := m.Train(xs, ys)
+			loss := m.TrainEpochs(xs, ys, m.cfg.Epochs)
 			h := hashFloats(0, loss)
 			h = hashFloats(h, m.Params()...)
 			if h != tc.want {

@@ -13,7 +13,7 @@ func buildBinarized(t testing.TB, dim int, seed int64) *Binarized {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m.Train(xs, ys)
+	m.TrainEpochs(xs, ys, m.cfg.Epochs)
 	return m.Binarize()
 }
 

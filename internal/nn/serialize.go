@@ -1,7 +1,7 @@
 package nn
 
 // Model serialization: the federation persists the trained global model
-// between the training and tracing phases (and across marketplace epochs),
+// between the training and tracing phases (and across server restarts),
 // so the deployed rule-based model needs a stable binary form. The format
 // is self-describing enough to rebuild the model without the original
 // Config literal.

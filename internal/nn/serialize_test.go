@@ -24,7 +24,7 @@ func TestModelRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m2.Train(xorXS, xorYS)
+	m2.TrainEpochs(xorXS, xorYS, m2.cfg.Epochs)
 
 	for _, model := range []*Model{m, m2} {
 		var buf bytes.Buffer

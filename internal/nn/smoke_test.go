@@ -29,7 +29,7 @@ func TestSmokeTicTacToe(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m.Train(xtr, ytr)
+	m.TrainEpochs(xtr, ytr, m.cfg.Epochs)
 	acc := m.Accuracy(xte, yte)
 	t.Logf("tic-tac-toe binarized test accuracy: %.3f", acc)
 	if acc < 0.90 {

@@ -422,10 +422,10 @@ func (m *Model) stepFused(grad []float64) {
 }
 
 // TrainEpochs runs mini-batch training for the given number of epochs and
-// returns the mean loss of the final epoch. It is the building block both
-// for standalone training (Train) and for FedAvg local updates. Parameters
-// are updated in place in the flat vector; per-batch work reuses pooled
-// scratch and allocates nothing in steady state.
+// returns the mean loss of the final epoch. It serves both standalone
+// training and FedAvg local updates. Parameters are updated in place in
+// the flat vector; per-batch work reuses pooled scratch and allocates
+// nothing in steady state.
 func (m *Model) TrainEpochs(xs [][]float64, ys []int, epochs int) float64 {
 	if len(xs) != len(ys) {
 		panic(fmt.Sprintf("nn: %d inputs vs %d labels", len(xs), len(ys)))
@@ -477,11 +477,6 @@ func (m *Model) TrainEpochs(xs [][]float64, ys []int, epochs int) float64 {
 		m.putGradBuffers(gb)
 	}
 	return lastLoss
-}
-
-// Train runs cfg.Epochs of training and returns the final epoch's mean loss.
-func (m *Model) Train(xs [][]float64, ys []int) float64 {
-	return m.TrainEpochs(xs, ys, m.cfg.Epochs)
 }
 
 // batchGrad computes the mean gradient over batch into grad (overwritten)

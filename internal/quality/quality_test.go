@@ -36,7 +36,7 @@ func buildScenario(t *testing.T) (*core.Result, []core.TrainingUpload, *rules.Se
 	if err != nil {
 		t.Fatal(err)
 	}
-	m.Train(xs, ys)
+	m.TrainEpochs(xs, ys, m.Config().Epochs)
 	rs := rules.Extract(m, enc)
 
 	var uploads []core.TrainingUpload

@@ -169,9 +169,6 @@ func (s *Set) Encode(in dataset.Instance) []float64 {
 	return s.enc.Encode(in, nil)
 }
 
-// Encoder returns the predicate encoder the rules are expressed over.
-func (s *Set) Encoder() *dataset.Encoder { return s.enc }
-
 // Activations returns the binarized rule-activation bitset for the encoded
 // input x (full vector; use ClassMask to restrict to one class side).
 func (s *Set) Activations(x []float64) *bitset.Set {

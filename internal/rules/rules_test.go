@@ -205,3 +205,60 @@ func TestTwoLayerSkipExpressions(t *testing.T) {
 		t.Fatalf("compound rule expression not expanded: %v", rs.Rules)
 	}
 }
+
+// selectedFixture wires four layer-0 rules over a two-feature schema with
+// predicates a=t(0), a=f(1), a=?(2), b=t(3), b=f(4), b=?(5):
+//
+//	node0 conj {p0}        (positive, w 1.0)
+//	node1 conj {p0, p3}    (positive, w 0.8)
+//	node2 disj {p0}        (negative, w 0.5)
+//	node3 disj {p0, p3}    (negative, w 0.5)
+func selectedFixture(t *testing.T) *Set {
+	t.Helper()
+	s := &dataset.Schema{
+		Name: "an",
+		Features: []dataset.Feature{
+			{Name: "a", Kind: dataset.Discrete, Categories: []string{"t", "f"}},
+			{Name: "b", Kind: dataset.Discrete, Categories: []string{"t", "f"}},
+		},
+	}
+	enc, err := dataset.NewEncoder(s, 1, stats.NewRNG(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := nn.New(enc.Width(), nn.Config{Hidden: []int{4}, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := m.Params()
+	for i := range p {
+		p[i] = 0
+	}
+	in := enc.Width()
+	p[0*in+0] = 1
+	p[1*in+0] = 1
+	p[1*in+3] = 1
+	p[2*in+0] = 1
+	p[3*in+0] = 1
+	p[3*in+3] = 1
+	head := 4 * in
+	p[head+0] = 1
+	p[head+1] = 0.8
+	p[head+2] = -0.5
+	p[head+3] = -0.5
+	if err := m.SetParams(p); err != nil {
+		t.Fatal(err)
+	}
+	return Extract(m, enc)
+}
+
+func TestRuleSelectedExposed(t *testing.T) {
+	rs := selectedFixture(t)
+	r1, ok := rs.RuleByIndex(1)
+	if !ok || len(r1.Selected) != 2 || r1.Selected[0] != 0 || r1.Selected[1] != 3 {
+		t.Fatalf("rule 1 selected = %+v", r1)
+	}
+	if r1.Layer != 0 {
+		t.Fatalf("layer = %d", r1.Layer)
+	}
+}

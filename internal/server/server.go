@@ -1005,8 +1005,12 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, err)
 		return
 	}
-	if tau <= 0 || tau > 1 {
+	if !(tau > 0 && tau <= 1) {
 		httpError(w, http.StatusBadRequest, fmt.Errorf("tau %v outside (0,1]", tau))
+		return
+	}
+	if delta < 1 {
+		httpError(w, http.StatusBadRequest, fmt.Errorf("delta %d below 1", delta))
 		return
 	}
 	var wait time.Duration

@@ -269,6 +269,12 @@ func TestBadInputs(t *testing.T) {
 	if resp := post(t, ts, "/v1/trace?tau=abc", "text/csv", fx.testCSV); resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("non-numeric tau status %d", resp.StatusCode)
 	}
+	// NaN fails every comparison, and delta counts related instances.
+	for _, q := range []string{"tau=NaN", "delta=-3", "delta=0"} {
+		if resp := post(t, ts, "/v1/trace?"+q+"&wait=60s", "text/csv", fx.testCSV); resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("trace with %s status %d", q, resp.StatusCode)
+		}
+	}
 	// Malformed CSV.
 	if resp := post(t, ts, "/v1/trace", "text/csv", []byte("nonsense,csv\n1,2\n")); resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("bad csv status %d", resp.StatusCode)

@@ -188,54 +188,6 @@ func AUC(ys []float64) float64 {
 	return area / float64(n-1)
 }
 
-// Quantile returns the q-quantile (0 <= q <= 1) of xs by linear
-// interpolation between order statistics. It panics on an empty slice.
-func Quantile(xs []float64, q float64) float64 {
-	if len(xs) == 0 {
-		panic("stats: Quantile of empty slice")
-	}
-	q = Clip(q, 0, 1)
-	sorted := append([]float64(nil), xs...)
-	sort.Float64s(sorted)
-	pos := q * float64(len(sorted)-1)
-	lo := int(pos)
-	if lo == len(sorted)-1 {
-		return sorted[lo]
-	}
-	frac := pos - float64(lo)
-	return sorted[lo]*(1-frac) + sorted[lo+1]*frac
-}
-
-// PairedTTest computes the paired t statistic for the differences a[i]-b[i]
-// and returns (t, degrees of freedom). A large |t| at n-1 degrees of freedom
-// indicates the two methods' per-repetition measurements differ
-// systematically (used to compare AUCs across experiment repetitions).
-// It panics on mismatched lengths and returns (0, 0) for n < 2 or when all
-// differences are identical (zero variance).
-func PairedTTest(a, b []float64) (tStat float64, df int) {
-	if len(a) != len(b) {
-		panic("stats: PairedTTest length mismatch")
-	}
-	n := len(a)
-	if n < 2 {
-		return 0, 0
-	}
-	diffs := make([]float64, n)
-	for i := range a {
-		diffs[i] = a[i] - b[i]
-	}
-	mean := Mean(diffs)
-	ss := 0.0
-	for _, d := range diffs {
-		ss += (d - mean) * (d - mean)
-	}
-	sd := math.Sqrt(ss / float64(n-1))
-	if sd == 0 {
-		return 0, 0
-	}
-	return mean / (sd / math.Sqrt(float64(n))), n - 1
-}
-
 // ArgsortDesc returns the indices of xs sorted by descending value.
 // Ties break by ascending index so the order is deterministic.
 func ArgsortDesc(xs []float64) []int {

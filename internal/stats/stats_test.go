@@ -235,60 +235,6 @@ func TestPropertySpearmanInvariantToMonotoneTransform(t *testing.T) {
 	}
 }
 
-func TestQuantile(t *testing.T) {
-	xs := []float64{3, 1, 2, 4}
-	if got := Quantile(xs, 0); got != 1 {
-		t.Fatalf("q0 = %v", got)
-	}
-	if got := Quantile(xs, 1); got != 4 {
-		t.Fatalf("q1 = %v", got)
-	}
-	if got := Quantile(xs, 0.5); math.Abs(got-2.5) > 1e-12 {
-		t.Fatalf("median = %v, want 2.5", got)
-	}
-	if got := Quantile([]float64{7}, 0.3); got != 7 {
-		t.Fatalf("single = %v", got)
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("empty quantile should panic")
-		}
-	}()
-	Quantile(nil, 0.5)
-}
-
-func TestPairedTTest(t *testing.T) {
-	// Constant positive difference with small jitter → large positive t.
-	a := []float64{1.1, 1.22, 1.31, 1.18, 1.25}
-	b := []float64{1.0, 1.10, 1.20, 1.10, 1.15}
-	tStat, df := PairedTTest(a, b)
-	if df != 4 {
-		t.Fatalf("df = %d", df)
-	}
-	if tStat < 5 {
-		t.Fatalf("t = %v, want strongly positive", tStat)
-	}
-	// Symmetric: swapping arguments flips the sign.
-	tRev, _ := PairedTTest(b, a)
-	if math.Abs(tStat+tRev) > 1e-12 {
-		t.Fatalf("asymmetric: %v vs %v", tStat, tRev)
-	}
-	// Identical vectors → zero-variance guard.
-	if ts, d := PairedTTest(a, a); ts != 0 || d != 0 {
-		t.Fatalf("identical inputs: t=%v df=%d", ts, d)
-	}
-	// Too few samples.
-	if ts, d := PairedTTest([]float64{1}, []float64{2}); ts != 0 || d != 0 {
-		t.Fatalf("n=1: t=%v df=%d", ts, d)
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("length mismatch should panic")
-		}
-	}()
-	PairedTTest(a, b[:2])
-}
-
 func TestShuffleAndPermArePermutations(t *testing.T) {
 	r := NewRNG(5)
 	idx := []int{0, 1, 2, 3, 4, 5, 6}

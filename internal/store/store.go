@@ -253,9 +253,14 @@ func readSnapshot(path string) ([]Event, error) {
 	if string(header) != string(snapMagic) {
 		return nil, fmt.Errorf("bad magic %q", header)
 	}
+	fi, err := f.Stat()
+	if err != nil {
+		return nil, err
+	}
+	off := int64(len(snapMagic))
 	var events []Event
 	for {
-		ev, err := readRecord(f)
+		ev, err := readRecord(f, fi.Size()-off)
 		if errors.Is(err, io.EOF) {
 			return events, nil
 		}
@@ -263,6 +268,7 @@ func readSnapshot(path string) ([]Event, error) {
 			return nil, err
 		}
 		events = append(events, ev)
+		off += recordLen(ev)
 	}
 }
 
@@ -275,10 +281,14 @@ func replayFile(path string) ([]Event, int64, error) {
 		return nil, 0, err
 	}
 	defer f.Close()
+	fi, err := f.Stat()
+	if err != nil {
+		return nil, 0, err
+	}
 	var off int64
 	var events []Event
 	for {
-		ev, err := readRecord(f)
+		ev, err := readRecord(f, fi.Size()-off)
 		if err != nil {
 			// EOF at a record boundary is a clean end; anything else (torn
 			// write, flipped bits) ends replay at the last good offset.
@@ -306,7 +316,10 @@ func appendRecord(buf []byte, ev Event) []byte {
 	return append(buf, crcb[:]...)
 }
 
-func readRecord(r io.Reader) (Event, error) {
+// readRecord reads the next record from r, which holds left more bytes. A
+// length that overruns them is a torn or corrupt record, rejected before
+// its body is allocated.
+func readRecord(r io.Reader, left int64) (Event, error) {
 	var lenb [4]byte
 	if _, err := io.ReadFull(r, lenb[:]); err != nil {
 		return Event{}, err
@@ -314,6 +327,9 @@ func readRecord(r io.Reader) (Event, error) {
 	n := binary.LittleEndian.Uint32(lenb[:])
 	if n < 1 || n > maxRecord {
 		return Event{}, fmt.Errorf("store: record length %d out of range", n)
+	}
+	if 4+int64(n)+4 > left {
+		return Event{}, fmt.Errorf("store: record length %d overruns the %d bytes left in the file", n, left)
 	}
 	body := make([]byte, n)
 	if _, err := io.ReadFull(r, body); err != nil {

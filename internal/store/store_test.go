@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -122,6 +123,38 @@ func TestTornTailRecordIsDropped(t *testing.T) {
 
 	_, evs := openT(t, dir)
 	wantEvents(t, evs, []Event{ev(EventEncoder, "enc")})
+
+	// A torn length prefix that claims almost 1 GiB: replay must reject
+	// it from the file size, not allocate the body it claims.
+	dir = t.TempDir()
+	s, _ = openT(t, dir)
+	s.Append(ev(EventEncoder, "enc"))
+	s.Close()
+	walPath = filepath.Join(dir, walName)
+	good, _ := os.ReadFile(walPath)
+	os.WriteFile(walPath, append(append([]byte(nil), good...), tornLength...), 0o644)
+
+	var evs2 []Event
+	if grew := allocDuring(func() { _, evs2 = openT(t, dir) }); grew >= 1<<20 {
+		t.Fatalf("replaying a torn length allocated %d bytes", grew)
+	}
+	wantEvents(t, evs2, []Event{ev(EventEncoder, "enc")})
+	if fi, err := os.Stat(walPath); err != nil || fi.Size() != int64(len(good)) {
+		t.Fatalf("wal not truncated to its %d-byte good prefix: %v, %v", len(good), fi.Size(), err)
+	}
+}
+
+// tornLength is a record prefix cut short by a crash: a length of
+// 0x3fffffff (just under maxRecord) followed by three bytes of body.
+var tornLength = []byte{0xff, 0xff, 0xff, 0x3f, 0x01, 0x02, 0x03}
+
+// allocDuring reports how many heap bytes fn allocated.
+func allocDuring(fn func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	fn()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
 }
 
 func TestCompactSnapshotAndReplay(t *testing.T) {
@@ -180,8 +213,24 @@ func TestCorruptNewestSnapshotFallsBackToPrevious(t *testing.T) {
 	}
 	s2.Close()
 	s3, evs3 := openT(t, dir)
-	defer s3.Close()
 	wantEvents(t, evs3, v3)
+	s3.Close()
+
+	// A torn length prefix after the newest snapshot's records makes it
+	// unreadable without allocating the body the length claims.
+	newest = filepath.Join(dir, "snapshot-000002.snap")
+	raw, err = os.ReadFile(newest)
+	if err != nil {
+		t.Fatal(err)
+	}
+	os.WriteFile(newest, append(raw, tornLength...), 0o644)
+	var s4 *Store
+	var evs4 []Event
+	if grew := allocDuring(func() { s4, evs4 = openT(t, dir) }); grew >= 1<<20 {
+		t.Fatalf("reading a torn snapshot allocated %d bytes", grew)
+	}
+	defer s4.Close()
+	wantEvents(t, evs4, v1)
 }
 
 func TestOldSnapshotsPruned(t *testing.T) {

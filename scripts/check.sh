@@ -27,6 +27,9 @@ fi
 echo "== go vet ./..."
 go vet ./...
 
+echo "== go vet (bench/, a nested module the root ./... skips)"
+(cd bench && go vet ./...)
+
 echo "== go build ./..."
 go build ./...
 
@@ -68,10 +71,11 @@ go test -run=TestBinarizedScoreBatchZeroAlloc -count=1 -v ./internal/nn/ | grep 
 echo "== zero-alloc pin (flight recorder steady state)"
 go test -run=TestRecordSteadyStateZeroAlloc -count=1 -v ./internal/flight/ | grep -E 'PASS|FAIL|allocates'
 
-echo "== fuzz smoke (wire-protocol decoders, 3s each)"
+echo "== fuzz smoke (wire-protocol decoders and WAL replay, 3s each)"
 for tgt in FuzzReadUpload FuzzParseFrame FuzzPredictRequest FuzzTraceResult FuzzRoundUpdate FuzzScoresSnapshot FuzzFlightEvents FuzzWALSegment; do
     go test -run=NONE -fuzz="^${tgt}\$" -fuzztime=3s ./internal/protocol/ | tail -1
 done
+go test -run=NONE -fuzz='^FuzzReplay$' -fuzztime=3s ./internal/store/ | tail -1
 
 echo "== bench smoke (1 iteration per hot-path benchmark)"
 go test -run=NONE -bench='BenchmarkTraceIndexed|BenchmarkTrainEpochs' -benchtime=1x \
@@ -85,13 +89,13 @@ go test -run=NONE -bench='BenchmarkRoundIngest|BenchmarkIncrementalScores|Benchm
 go test -run=NONE -bench='BenchmarkFlightRecord' -benchtime=1x \
     ./internal/flight/
 
-echo "== benchdiff (pinned hot paths vs newest BENCH_*.json, >20% ns/op regression fails)"
-go run ./scripts/benchdiff
-
 echo "== observability smoke (boot ctflsrv, scrape /metrics, graceful drain)"
 tmpbin="$(mktemp -d)"
 trap 'rm -rf "$tmpbin"' EXIT
 go build -o "$tmpbin/ctflsrv" ./cmd/ctflsrv
 go run ./scripts/metricsmoke -bin "$tmpbin/ctflsrv"
+
+echo "== benchdiff (pinned hot paths vs newest BENCH_*.json, >20% ns/op regression fails)"
+go run ./scripts/benchdiff
 
 echo "OK: all checks passed"
