@@ -56,9 +56,9 @@ type benchReport struct {
 // end-to-end Table II pipeline, the parallel coalition-valuation engine,
 // and the streaming round-valuation engine.
 const defaultBenchRegex = "BenchmarkTrace|BenchmarkNewTracer|BenchmarkTrainEpochs|" +
-	"BenchmarkPredictBatch|BenchmarkScoreAndActivations|BenchmarkTable2|BenchmarkTracingThroughput|" +
+	"BenchmarkPredictBatch|BenchmarkActivationBits|BenchmarkTable2|BenchmarkTracingThroughput|" +
 	"BenchmarkOracleBatch|BenchmarkSampledShapleyParallel|" +
-	"BenchmarkTraceResult|BenchmarkUploadIngest|BenchmarkServerPredict|BenchmarkServerUploadIngest|" +
+	"BenchmarkTraceResult|BenchmarkUploadIngest|BenchmarkServerPredict|BenchmarkServerTrace|BenchmarkServerUploadIngest|" +
 	"BenchmarkRoundIngest|BenchmarkIncrementalScores|BenchmarkBatchRevaluation"
 
 func cmdBench(args []string) error {

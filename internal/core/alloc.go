@@ -142,13 +142,18 @@ func (r *Result) CoverageGap() float64 {
 // instances never matched by any test instance — the paper's low-quality
 // data indicator (Section IV-B).
 func (r *Result) UselessRatio() []float64 {
+	// Every record of a pattern group is matched as often as the group, so
+	// the counts come from the groups' owner histograms; the sums are
+	// integer-valued, so they equal a per-record count exactly.
 	t := r.tracer
 	total := make([]float64, t.numParts)
 	unused := make([]float64, t.numParts)
-	for j, owner := range t.v.owner {
-		total[owner]++
-		if r.TrainMatched[j] == 0 {
-			unused[owner]++
+	for u, hits := range r.groupHits {
+		for i, h := range t.hist[u*t.numParts : (u+1)*t.numParts] {
+			total[i] += float64(h)
+			if hits == 0 {
+				unused[i] += float64(h)
+			}
 		}
 	}
 	out := make([]float64, t.numParts)

@@ -65,8 +65,9 @@ func TestPropertyIndexMatchesLinearScanRandom(t *testing.T) {
 				wantMatched[j]++
 			}
 		}
+		matched := res.TrainMatched()
 		for j, w := range wantMatched {
-			if res.TrainMatched[j] != w {
+			if matched[j] != w {
 				return false
 			}
 		}

@@ -71,7 +71,7 @@ func traceHash(res *Result) uint32 {
 	for _, row := range res.Counts {
 		h = hashInts(h, row...)
 	}
-	h = hashInts(h, res.TrainMatched...)
+	h = hashInts(h, res.TrainMatched()...)
 	h = hashF64s(h, res.MicroScores()...)
 	h = hashF64s(h, res.MacroScores()...)
 	return h

@@ -13,7 +13,7 @@ import (
 func sameTrace(a, b *Result) bool {
 	return reflect.DeepEqual(a.Pred, b.Pred) &&
 		reflect.DeepEqual(a.Counts, b.Counts) &&
-		reflect.DeepEqual(a.TrainMatched, b.TrainMatched) &&
+		reflect.DeepEqual(a.TrainMatched(), b.TrainMatched()) &&
 		reflect.DeepEqual(a.MicroScores(), b.MicroScores()) &&
 		reflect.DeepEqual(a.MacroScores(), b.MacroScores()) &&
 		reflect.DeepEqual(a.Profiles(0), b.Profiles(0)) &&

@@ -71,6 +71,7 @@ func (r *Result) topRules(freq ruleFreq, k int) []RuleFrequency {
 // Profile returns participant i's interpretability profile with at most k
 // rules per list (k <= 0 means all).
 func (r *Result) Profile(i, k int) ParticipantProfile {
+	r.interp()
 	return ParticipantProfile{
 		Participant:  i,
 		Beneficial:   r.topRules(r.beneficialFreq[i], k),
@@ -81,6 +82,7 @@ func (r *Result) Profile(i, k int) ParticipantProfile {
 
 // Profiles returns every participant's profile with at most k rules each.
 func (r *Result) Profiles(k int) []ParticipantProfile {
+	r.interp()
 	useless := r.UselessRatio()
 	out := make([]ParticipantProfile, r.NumParticipants)
 	for i := range out {
@@ -99,6 +101,7 @@ func (r *Result) Profiles(k int) []ParticipantProfile {
 // federation should solicit new training data (Section IV-B, "Guide Data
 // Collection"). At most k entries are returned (k <= 0 means all).
 func (r *Result) CollectionGuidance(k int) []RuleFrequency {
+	r.interp()
 	return r.topRules(r.uncoveredRuleFreq, k)
 }
 

@@ -102,9 +102,12 @@ func MergeResults(a, b *Result) (*Result, error) {
 	out.Pred = append(append([]int{}, a.Pred...), b.Pred...)
 	out.Truth = append(append([]int{}, a.Truth...), b.Truth...)
 	out.Counts = append(append([][]int{}, a.Counts...), b.Counts...)
-	for j := range a.TrainMatched {
-		out.TrainMatched[j] = a.TrainMatched[j] + b.TrainMatched[j]
+	for u := range out.groupHits {
+		out.groupHits[u] = a.groupHits[u] + b.groupHits[u]
 	}
+	a.interp()
+	b.interp()
+	out.interp()
 	for i := 0; i < a.NumParticipants; i++ {
 		out.beneficialFreq[i].addAll(a.beneficialFreq[i])
 		out.beneficialFreq[i].addAll(b.beneficialFreq[i])

@@ -174,11 +174,16 @@ type Result struct {
 	// Every row is an independent copy: mutating one row cannot corrupt
 	// another test instance's counts.
 	Counts [][]int
-	// TrainMatched[j] counts how many test instances training instance j was
-	// related to (drives the useless-data ratio).
-	TrainMatched []int
 
 	tracer *Tracer
+	// groupHits[u] counts the test instances related to training pattern
+	// group u; every record of the group shares it (TrainMatched).
+	groupHits []int
+
+	// The interpretability accumulators are filled on first use from
+	// pending, which Trace leaves behind; interpOnce guards the fill.
+	interpOnce sync.Once
+	pending    *pendingInterp
 	// beneficialFreq[i] accumulates weighted rule-activation credit per
 	// rule for participant i over correctly classified matches;
 	// harmfulFreq likewise over misclassifications.
@@ -190,19 +195,55 @@ type Result struct {
 	uncoveredRuleFreq ruleFreq
 }
 
-// newResult returns a result over t with empty accumulators.
+// pendingInterp is what a trace keeps to fill its result's
+// interpretability accumulators later: each test instance's activations
+// and predicted-side pattern, and the pattern groups with their counts.
+type pendingInterp struct {
+	acts, sides []bitset.Set
+	groups      []*patternGroup
+	outs        []traceOut
+}
+
+// newResult returns a result over t whose accumulators start empty.
 func (t *Tracer) newResult(testSize int) *Result {
-	n := t.numParts
-	freqs := newRuleFreqs(2*n+1, t.rs.Width())
 	return &Result{
-		NumParticipants:   n,
-		TestSize:          testSize,
-		TrainMatched:      make([]int, t.v.Len()),
-		tracer:            t,
-		beneficialFreq:    freqs[:n],
-		harmfulFreq:       freqs[n : 2*n],
-		uncoveredRuleFreq: freqs[2*n],
+		NumParticipants: t.numParts,
+		TestSize:        testSize,
+		tracer:          t,
+		groupHits:       make([]int, len(t.v.pat)),
 	}
+}
+
+// interp fills the interpretability accumulators once: from the pending
+// trace state, in the order the trace visited its test instances.
+func (r *Result) interp() {
+	r.interpOnce.Do(func() {
+		t, n := r.tracer, r.NumParticipants
+		freqs := newRuleFreqs(2*n+1, t.rs.Width())
+		r.beneficialFreq, r.harmfulFreq, r.uncoveredRuleFreq = freqs[:n], freqs[n:2*n], freqs[2*n]
+		p := r.pending
+		if p == nil {
+			return
+		}
+		var trueSide *bitset.Set
+		for gi, g := range p.groups {
+			for _, te := range g.members {
+				trueSide = p.acts[te].AndInto(t.rs.ClassMask(r.Truth[te]), trueSide)
+				t.accumulate(r, te, &p.sides[te], trueSide, p.outs[gi])
+			}
+		}
+		r.pending = nil
+	})
+}
+
+// TrainMatched returns, per indexed training instance, how many test
+// instances it was related to (drives the useless-data ratio).
+func (r *Result) TrainMatched() []int {
+	out := make([]int, r.tracer.v.Len())
+	for j, u := range r.tracer.v.group {
+		out[j] = r.groupHits[u]
+	}
+	return out
 }
 
 // ruleFreq accumulates weighted rule-activation credit densely by rule
@@ -258,27 +299,31 @@ type traceOut struct {
 }
 
 // Trace runs the full tracing pass of Section III-C over the test table:
-// for each test instance it determines the related training instances on
-// the predicted-class side (TP/TN for correct predictions earn credit,
-// FP/FN feed the loss analysis) and accumulates interpretability counters.
+// TraceColumns over its encoded instances.
 func (t *Tracer) Trace(test *dataset.Table) *Result {
+	return t.TraceColumns(t.rs.EncodeColumns(test))
+}
+
+// TraceColumns runs the full tracing pass of Section III-C over a test set
+// held as predicate columns: for each test instance it determines the
+// related training instances on the predicted-class side (TP/TN for
+// correct predictions earn credit, FP/FN feed the loss analysis). The
+// interpretability counters are accumulated on first use.
+func (t *Tracer) TraceColumns(test *dataset.Columns) *Result {
 	traceStart := time.Now()
-	acts, pred := t.rs.ActivationsTable(test)
-	res := t.newResult(test.Len())
+	n := test.Len()
+	acts, pred := t.rs.ActivationsColumns(test)
+	res := t.newResult(n)
 	res.Pred = pred
-	res.Truth = make([]int, test.Len())
-	res.Counts = make([][]int, test.Len())
-	for i, in := range test.Instances {
-		res.Truth[i] = in.Label
-	}
+	res.Truth = append([]int(nil), test.Labels...)
+	res.Counts = make([][]int, n)
 
 	weights := t.rs.Weights()
-	sideActs := make([]*bitset.Set, test.Len())
-	sideWeight := make([]float64, test.Len())
-	for i, a := range acts {
-		side := a.AndInto(t.rs.ClassMask(pred[i]), nil)
-		sideActs[i] = side
-		sideWeight[i] = side.WeightedCount(weights)
+	sides := bitset.MakeSlab(n, t.rs.Width())
+	sideWeight := make([]float64, n)
+	for i := range acts {
+		acts[i].AndInto(t.rs.ClassMask(pred[i]), &sides[i])
+		sideWeight[i] = sides[i].WeightedCount(weights)
 	}
 
 	// Dedupe identical (predicted label, side pattern) groups. The key is
@@ -287,10 +332,10 @@ func (t *Tracer) Trace(test *dataset.Table) *Result {
 	byKey := map[string]*patternGroup{}
 	var order []*patternGroup
 	var keyBuf []byte
-	for i := range sideActs {
+	for i := range sides {
 		keyBuf = keyBuf[:0]
 		keyBuf = append(keyBuf, byte(pred[i]))
-		keyBuf = sideActs[i].AppendKey(keyBuf)
+		keyBuf = sides[i].AppendKey(keyBuf)
 		g, ok := byKey[string(keyBuf)]
 		if !ok {
 			g = &patternGroup{rep: i}
@@ -302,7 +347,7 @@ func (t *Tracer) Trace(test *dataset.Table) *Result {
 
 	// Every member beyond each group's representative is a query the
 	// pattern dedup absorbed.
-	t.obs.PatternDedupHits.Add(int64(test.Len() - len(order)))
+	t.obs.PatternDedupHits.Add(int64(n - len(order)))
 
 	outs := make([]traceOut, len(order))
 	var wg sync.WaitGroup
@@ -313,7 +358,7 @@ func (t *Tracer) Trace(test *dataset.Table) *Result {
 		go func(gi int, g *patternGroup) {
 			defer wg.Done()
 			defer func() { <-sem }()
-			outs[gi] = t.traceOne(sideActs[g.rep], sideWeight[g.rep], pred[g.rep])
+			outs[gi] = t.traceOne(&sides[g.rep], sideWeight[g.rep], pred[g.rep])
 		}(gi, g)
 	}
 	wg.Wait()
@@ -321,27 +366,20 @@ func (t *Tracer) Trace(test *dataset.Table) *Result {
 	// One contiguous slab for all Counts rows; each test instance gets its
 	// own copy of its group's counts (no shared backing between rows).
 	// Matches are counted per training group — every member of a test
-	// pattern group matches the same training groups — and expanded to
-	// training instances once, after the loop.
-	slab := make([]int, test.Len()*t.numParts)
-	uHits := make([]int, len(t.v.pat))
-	var trueSide *bitset.Set
+	// pattern group matches the same training groups.
+	slab := make([]int, n*t.numParts)
 	for gi, g := range order {
 		out := outs[gi]
 		for _, u := range out.matched {
-			uHits[u] += len(g.members)
+			res.groupHits[u] += len(g.members)
 		}
 		for _, te := range g.members {
 			row := slab[te*t.numParts : (te+1)*t.numParts : (te+1)*t.numParts]
 			copy(row, out.counts)
 			res.Counts[te] = row
-			trueSide = acts[te].AndInto(t.rs.ClassMask(res.Truth[te]), trueSide)
-			t.accumulate(res, te, sideActs[te], trueSide, out)
 		}
 	}
-	for j, u := range t.v.group {
-		res.TrainMatched[j] = uHits[u]
-	}
+	res.pending = &pendingInterp{acts: acts, sides: sides, groups: order, outs: outs}
 	t.obs.TraceSeconds.ObserveSince(traceStart)
 	return res
 }

@@ -364,8 +364,11 @@ func (e *Engine) run(j *Job) {
 	if e.cfg.OnFinish != nil {
 		e.cfg.OnFinish(j.Snapshot())
 	}
-	close(j.done)
+	// Retire before waking waiters: a client that sees the failure and
+	// resubmits the same key at once must find the failed job gone from
+	// the cache, not get it back as a hit.
 	e.retire(j, err == nil)
+	close(j.done)
 }
 
 // runProtected converts a panicking job into a failed one carrying a

@@ -127,6 +127,26 @@ func TestFailedJobsAreNotCached(t *testing.T) {
 	}
 }
 
+// TestFailedJobResubmittedAtOnceReruns resubmits each failed key the moment
+// Wait returns: the failed job must already be gone from the cache, so the
+// resubmission is a fresh job, never a cache hit on the failure.
+func TestFailedJobResubmittedAtOnceReruns(t *testing.T) {
+	e := New(Config{Workers: 2})
+	defer e.Close(context.Background())
+	fail := func(ctx context.Context) (any, error) { return nil, errors.New("x") }
+	ok := func(ctx context.Context) (any, error) { return "ok", nil }
+	for i := 0; i < 400; i++ {
+		key := fmt.Sprintf("k%d", i)
+		j1, _ := e.Submit(key, fail)
+		waitDone(t, e, j1)
+		j2, _ := e.Submit(key, ok)
+		if j2 == j1 {
+			t.Fatalf("key %s: resubmission got the failed job back (%+v)", key, j2.Snapshot())
+		}
+		waitDone(t, e, j2)
+	}
+}
+
 func TestQueueFullBackpressure(t *testing.T) {
 	e := New(Config{Workers: 1, QueueDepth: 1})
 	defer e.Close(context.Background())

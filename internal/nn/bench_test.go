@@ -66,15 +66,18 @@ func BenchmarkPredictBatch(b *testing.B) {
 	}
 }
 
-// BenchmarkScoreAndActivations measures the batched score+activation pass
-// feeding the tracer.
-func BenchmarkScoreAndActivations(b *testing.B) {
+// BenchmarkActivationBits measures the bit-column evaluator feeding the
+// tracer: rule columns, their transposition into per-row activation
+// bitsets, and the head scores of 4000 rows.
+func BenchmarkActivationBits(b *testing.B) {
 	xs, ys := benchData(4000, 80, 2)
 	m := benchModel(b, 80)
 	m.TrainEpochs(xs[:500], ys[:500], 2)
 	bin := m.Binarize()
+	x := packBits(xs)
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_, _ = bin.ScoreAndActivationsBatch(xs)
+		_, _ = bin.ActivationBits(x, len(xs))
 	}
 }

@@ -2,18 +2,24 @@ package nn
 
 import (
 	"fmt"
+	"math/bits"
 	"sync"
+
+	"repro/internal/bitset"
 )
 
 // Binarized is a compiled snapshot of the deployed (binarized) model: each
 // logical node keeps only the input indices its weight selects (w > 0.5), so
 // evaluation touches the selected inputs alone instead of scanning every
-// weight of every node. It is the package's only discrete evaluator: it
-// serves inference (/v1/predict, rule activations for the tracer), the
-// model's batch entry points (Accuracy, CountCorrect, PredictBatch, each of
-// which compiles a pooled snapshot per call), grafted training (one
-// Model-owned snapshot recompiled per batch) and streaming valuation (one
-// pooled snapshot per coalition, filled by a Patch).
+// weight of every node. It is the package's only discrete evaluator, in
+// two forms over one compiled selection. ActivationBits evaluates a batch
+// of {0,1} rows held as bit columns and yields the rule-activation bitsets
+// the tracer consumes. The per-row float eval serves what is real-valued
+// or scored row by row: /v1/predict, the model's batch entry points
+// (Accuracy, CountCorrect, PredictBatch, each of which compiles a pooled
+// snapshot per call), grafted training (one Model-owned snapshot
+// recompiled per batch) and streaming valuation (one pooled snapshot per
+// coalition, filled by a Patch).
 //
 // The snapshot is immutable once compiled: training the model further does
 // not update it. Build it once after training (rule extraction does this)
@@ -158,37 +164,84 @@ func (b *Binarized) Score(x []float64) float64 {
 	return s
 }
 
-// RuleActivations fills dst (length RuleDim, allocated when nil) with the
-// rule-activation vector for x and returns it. This is the vector CTFL's
-// tracer consumes.
-func (b *Binarized) RuleActivations(x []float64, dst []float64) []float64 {
-	if dst == nil {
-		dst = make([]float64, b.ruleDim)
+// ActivationBits evaluates the snapshot over n rows of {0,1} inputs held
+// as bit columns in x, in dataset.Columns' layout: word b*InDim()+i holds
+// input i of rows 64b … 64b+63, row r at bit r%64, and bits past row n are
+// zero. It returns each row's rule activations, every bitset carved from
+// one slab, and each row's pre-threshold score from eval's own ascending
+// s += w_j·r_j loop with r_j ∈ {0,1}: bit-identical to Score on the row's
+// {0,1} vector, −0 included, with ±Inf and NaN exactly where Score gives
+// them (which NaN payload an addition keeps is the compiler's choice).
+func (b *Binarized) ActivationBits(x []uint64, n int) (acts []bitset.Set, scores []float64) {
+	blocks := (n + 63) / 64
+	if len(x) < blocks*b.inDim {
+		panic(fmt.Sprintf("nn: %d input words for %d rows of width %d", len(x), n, b.inDim))
 	}
-	buf := b.getBuf()
-	b.eval(x, buf)
-	copy(dst, buf.rules)
-	b.bufs.Put(buf)
-	return dst
+	acts = bitset.MakeSlab(n, b.ruleDim)
+	scores = make([]float64, n)
+	out := make([]uint64, b.ruleDim)
+	var s [64]float64
+	for blk := 0; blk < blocks; blk++ {
+		rows := min(64, n-64*blk)
+		b.evalBits(x[blk*b.inDim:(blk+1)*b.inDim], out, ^uint64(0)>>(64-rows))
+		for t := range s[:rows] {
+			s[t] = b.headB
+		}
+		// Transpose rule j's column into the rows it fires on, and add its
+		// head weight to every row of the block, fired or not, exactly as
+		// eval adds w_j·0.
+		base := acts[64*blk : 64*blk+rows]
+		for j, w := range out {
+			hw := b.headW[j]
+			for t := range s[:rows] {
+				s[t] += hw * float64(w>>t&1)
+			}
+			for m := w; m != 0; m &= m - 1 {
+				base[bits.TrailingZeros64(m)].Set(j)
+			}
+		}
+		copy(scores[64*blk:], s[:rows])
+	}
+	return acts, scores
 }
 
-// ScoreAndActivationsBatch computes, in one parallel pass over xs, the
-// scores and rule-activation rows of every input.
-func (b *Binarized) ScoreAndActivationsBatch(xs [][]float64) (scores []float64, acts [][]float64) {
-	scores = make([]float64, len(xs))
-	acts = make([][]float64, len(xs))
-	// One contiguous slab for all activation rows keeps the result cache
-	// friendly and cuts per-row allocations.
-	slab := make([]float64, len(xs)*b.ruleDim)
-	b.parallelOver(len(xs), func(lo, hi int, buf *fwdBuffers) {
-		for i := lo; i < hi; i++ {
-			scores[i] = b.eval(xs[i], buf)
-			row := slab[i*b.ruleDim : (i+1)*b.ruleDim : (i+1)*b.ruleDim]
-			copy(row, buf.rules)
-			acts[i] = row
+// evalBits computes every logical node's output column over one block of
+// 64 rows: xw holds the block's input words, out receives one word per
+// rule, and live marks the block's rows. A conjunction ANDs its selected
+// input columns (all live rows when it selects none); a disjunction ORs
+// them. Layer k reads x's columns, then layer k−1's output columns, where
+// they already are.
+func (b *Binarized) evalBits(xw, out []uint64, live uint64) {
+	var prev []uint64
+	ri := 0
+	for _, l := range b.layers {
+		sel := b.sel[ri : ri+l.size()]
+		conj, disj := out[ri:ri+l.numConj], out[ri+l.numConj:ri+l.size()]
+		for n, idx := range sel[:l.numConj] {
+			v := live
+			for _, i := range idx {
+				if int(i) < b.inDim {
+					v &= xw[i]
+				} else {
+					v &= prev[int(i)-b.inDim]
+				}
+			}
+			conj[n] = v
 		}
-	})
-	return scores, acts
+		for n, idx := range sel[l.numConj:] {
+			var v uint64
+			for _, i := range idx {
+				if int(i) < b.inDim {
+					v |= xw[i]
+				} else {
+					v |= prev[int(i)-b.inDim]
+				}
+			}
+			disj[n] = v
+		}
+		prev = out[ri : ri+l.size()]
+		ri += l.size()
+	}
 }
 
 // ScoreBatchFloat32 scores n = len(rows)/InDim() feature rows, packed

@@ -8,11 +8,11 @@ import (
 	"testing/quick"
 )
 
-// TestPropertyBinarizedMatchesForward proves the compiled evaluator is
-// bit-identical to the uncompiled discrete forward pass (refForward): same
-// scores, same rule-activation vectors and the same labels through the
-// model's batch entry points, across random architectures, random (trained)
-// weights, and both {0,1} and real-valued inputs.
+// TestPropertyBinarizedMatchesForward proves the compiled float evaluator
+// is bit-identical to the uncompiled discrete forward pass (refForward):
+// same scores, same rule-activation vectors and the same labels through
+// the model's batch entry points, across random architectures, random
+// (trained) weights, and both {0,1} and real-valued inputs.
 func TestPropertyBinarizedMatchesForward(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
@@ -49,17 +49,17 @@ func TestPropertyBinarizedMatchesForward(t *testing.T) {
 		b := m.Binarize()
 		same := func(x, y float64) bool { return math.Float64bits(x) == math.Float64bits(y) }
 
-		scores, acts := b.ScoreAndActivationsBatch(xs)
 		pred := m.PredictBatch(xs)
+		buf := b.getBuf()
+		defer b.bufs.Put(buf)
 		correct := 0
 		for i, x := range xs {
 			want, wantActs := refForward(m, x, true)
-			if !same(scores[i], want) || !same(b.Score(x), want) {
+			if !same(b.eval(x, buf), want) || !same(b.Score(x), want) {
 				return false
 			}
-			one := b.RuleActivations(x, nil)
 			for j := range wantActs {
-				if !same(acts[i][j], wantActs[j]) || !same(one[j], wantActs[j]) {
+				if !same(buf.rules[j], wantActs[j]) {
 					return false
 				}
 			}
@@ -117,7 +117,10 @@ func TestSharedModelInferenceConcurrent(t *testing.T) {
 	m.TrainEpochs(xs, ys, m.cfg.Epochs)
 	b := m.Binarize()
 	wantAcc, wantOK, wantPred := m.Accuracy(xs, ys), m.CountCorrect(xs, ys), m.PredictBatch(xs)
-	wantScores, _ := b.ScoreAndActivationsBatch(xs)
+	wantScores := make([]float64, len(xs))
+	for i, x := range xs {
+		wantScores[i] = b.Score(x)
+	}
 	rows := make([]float32, 0, len(xs)*16)
 	for _, x := range xs {
 		for _, v := range x {

@@ -239,3 +239,117 @@ func TestBatchGradAllocs(t *testing.T) {
 		t.Errorf("stepFused allocates %v per run, want 0", n)
 	}
 }
+
+// packBits packs {0,1} rows of width dim into dataset.Columns' bit-column
+// layout: word b*dim+i holds input i of rows 64b … 64b+63.
+func packBits(xs [][]float64) []uint64 {
+	if len(xs) == 0 {
+		return nil
+	}
+	dim := len(xs[0])
+	words := make([]uint64, (len(xs)+63)/64*dim)
+	for r, x := range xs {
+		for i, v := range x {
+			if v != 0 {
+				words[r/64*dim+i] |= 1 << (r % 64)
+			}
+		}
+	}
+	return words
+}
+
+func bitFloat(b bool) float64 {
+	if b {
+		return 1
+	}
+	return 0
+}
+
+// TestPropertyActivationBitsMatchForward checks the bit-column evaluator
+// against refForward on {0,1} rows: every rule activation and every score
+// bit for bit, over random architectures (one layer, or Hidden [16, 8]
+// with its skip connection), sparse selections that leave some nodes
+// selecting nothing, batch sizes on both sides of a 64-row block, and head
+// weights that include −0, ±Inf and NaN.
+func TestPropertyActivationBitsMatchForward(t *testing.T) {
+	sizes := []int{0, 1, 63, 64, 65, 1000}
+	same := func(x, y float64) bool { return math.Float64bits(x) == math.Float64bits(y) }
+	f := func(seed int64) bool {
+		r := rand.New(rand.NewSource(seed))
+		dim := 3 + r.Intn(20)
+		hidden := []int{2 + 2*r.Intn(6)}
+		if r.Intn(2) == 1 {
+			hidden = []int{16, 8}
+		}
+		m, err := New(dim, Config{Hidden: hidden, Seed: r.Int63()})
+		if err != nil {
+			panic(err)
+		}
+		p := m.Params()
+		density := 0.05 + 0.4*r.Float64()
+		for i := 0; i < m.headOff; i++ {
+			p[i] = 0.5 * r.Float64()
+			if r.Float64() < density {
+				p[i] = 1 - p[i]*0.99
+			}
+		}
+		for i := m.headOff; i < len(p); i++ {
+			switch r.Intn(16) {
+			case 0:
+				p[i] = math.Inf(1)
+			case 1:
+				p[i] = math.Inf(-1)
+			case 2:
+				p[i] = math.NaN()
+			case 3:
+				p[i] = math.Copysign(0, -1)
+			default:
+				p[i] = r.NormFloat64()
+			}
+		}
+		if err := m.SetParams(p); err != nil {
+			panic(err)
+		}
+		// Clear one node's whole selection, so at least one node selects
+		// nothing.
+		l := m.layers[r.Intn(len(m.layers))]
+		row := l.row(r.Intn(l.size()))
+		for i := range row {
+			row[i] = 0
+		}
+		n := sizes[r.Intn(len(sizes))]
+		on := r.Float64()
+		xs := make([][]float64, n)
+		for i := range xs {
+			xs[i] = make([]float64, dim)
+			for j := range xs[i] {
+				if r.Float64() < on {
+					xs[i][j] = 1
+				}
+			}
+		}
+		b := m.Binarize()
+		acts, scores := b.ActivationBits(packBits(xs), n)
+		if len(acts) != n || len(scores) != n {
+			return false
+		}
+		for i, x := range xs {
+			want, wantActs := refForward(m, x, true)
+			// A NaN score only has to be NaN: which NaN payload an
+			// addition of two NaNs keeps depends on the operand order the
+			// compiler picks, which Go leaves open.
+			if !same(scores[i], want) && !(math.IsNaN(scores[i]) && math.IsNaN(want)) {
+				return false
+			}
+			for j, a := range wantActs {
+				if !same(bitFloat(acts[i].Test(j)), a) {
+					return false
+				}
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
+		t.Fatal(err)
+	}
+}

@@ -146,20 +146,22 @@ func TestParallelOverSingleWorkerAndEmpty(t *testing.T) {
 	}
 }
 
-func TestScoreAndActivationsBatchMatchesSingle(t *testing.T) {
+func TestActivationBitsMatchScore(t *testing.T) {
 	m, err := New(4, Config{Hidden: []int{8}, Seed: 13})
 	if err != nil {
 		t.Fatal(err)
 	}
 	b := m.Binarize()
-	scores, acts := b.ScoreAndActivationsBatch(xorXS)
+	acts, scores := b.ActivationBits(packBits(xorXS), len(xorXS))
+	buf := b.getBuf()
+	defer b.bufs.Put(buf)
 	for i, x := range xorXS {
 		if scores[i] != b.Score(x) {
-			t.Fatalf("row %d batch score %v vs single %v", i, scores[i], b.Score(x))
+			t.Fatalf("row %d column score %v vs single %v", i, scores[i], b.Score(x))
 		}
-		single := b.RuleActivations(x, nil)
-		for j := range single {
-			if acts[i][j] != single[j] {
+		b.eval(x, buf)
+		for j, r := range buf.rules {
+			if bitFloat(acts[i].Test(j)) != r {
 				t.Fatalf("row %d activation %d mismatch", i, j)
 			}
 		}

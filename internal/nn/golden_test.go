@@ -81,11 +81,16 @@ func TestGoldenForward(t *testing.T) {
 		t.Fatal(err)
 	}
 	b := m.Binarize()
+	acts, scores := b.ActivationBits(packBits(xs), len(xs))
 	h := uint32(0)
-	acts := make([]float64, m.RuleDim())
-	for _, x := range xs {
-		h = hashFloats(h, b.Score(x))
-		h = hashFloats(h, b.RuleActivations(x, acts)...)
+	for i, x := range xs {
+		if math.Float64bits(b.Score(x)) != math.Float64bits(scores[i]) {
+			t.Fatalf("row %d: column score %v, Score %v", i, scores[i], b.Score(x))
+		}
+		h = hashFloats(h, scores[i])
+		for j := 0; j < m.RuleDim(); j++ {
+			h = hashFloats(h, bitFloat(acts[i].Test(j)))
+		}
 	}
 	const want = 0x1de83e00
 	if h != want {

@@ -183,18 +183,17 @@ func TestRuleActivationsMatchSpecs(t *testing.T) {
 		t.Fatalf("spec 4 wrong: %+v", specs[4])
 	}
 
-	act := b.RuleActivations([]float64{1, 1, 0, 0, 0, 0}, nil)
-	if act[0] != 1 {
+	acts, _ := b.ActivationBits(packBits([][]float64{{1, 1, 0, 0, 0, 0}, {1, 0, 1, 0, 0, 0}}), 2)
+	if !acts[0].Test(0) {
 		t.Fatal("conj node should fire when both selected inputs are 1")
 	}
-	if act[4] != 0 {
+	if acts[0].Test(4) {
 		t.Fatal("disj node should not fire when selected inputs are 0")
 	}
-	act = b.RuleActivations([]float64{1, 0, 1, 0, 0, 0}, nil)
-	if act[0] != 0 {
+	if acts[1].Test(0) {
 		t.Fatal("conj node must not fire with one input missing")
 	}
-	if act[4] != 1 {
+	if !acts[1].Test(4) {
 		t.Fatal("disj node should fire with one selected input active")
 	}
 }

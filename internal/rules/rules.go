@@ -170,39 +170,52 @@ func (s *Set) Encode(in dataset.Instance) []float64 {
 }
 
 // Activations returns the binarized rule-activation bitset for the encoded
-// input x (full vector; use ClassMask to restrict to one class side).
+// {0,1} predicate vector x (full vector; use ClassMask to restrict to one
+// class side): a predicate holds where x is nonzero.
 func (s *Set) Activations(x []float64) *bitset.Set {
-	act := s.bin.RuleActivations(x, nil)
-	b := bitset.New(s.width)
-	for i, v := range act {
-		if v >= 0.5 {
-			b.Set(i)
+	words := make([]uint64, len(x))
+	for p, v := range x {
+		if v != 0 {
+			words[p] = 1
 		}
 	}
-	return b
+	acts, _ := s.bin.ActivationBits(words, 1)
+	return &acts[0]
 }
 
-// ActivationsTable encodes and computes activation bitsets for every
-// instance of t in one parallel pass, returning also the deployed model's
-// predicted labels (used by the tracer to classify TP/TN/FP/FN cases).
-func (s *Set) ActivationsTable(t *dataset.Table) (acts []*bitset.Set, pred []int) {
-	xs, _ := s.enc.EncodeTable(t)
-	scores, rows := s.bin.ScoreAndActivationsBatch(xs)
-	acts = make([]*bitset.Set, len(xs))
-	pred = make([]int, len(xs))
-	for i := range xs {
-		if scores[i] >= 0 {
+// ActivationsColumns computes, in one pass over a batch of encoded rows,
+// every row's activation bitset (carved from one slab) and the deployed
+// model's predicted label (used by the tracer to classify TP/TN/FP/FN
+// cases).
+func (s *Set) ActivationsColumns(c *dataset.Columns) (acts []bitset.Set, pred []int) {
+	if c.Width != s.bin.InDim() {
+		panic(fmt.Sprintf("rules: %d predicate columns, model input %d", c.Width, s.bin.InDim()))
+	}
+	acts, scores := s.bin.ActivationBits(c.Words, c.Len())
+	pred = make([]int, len(scores))
+	for i, sc := range scores {
+		if sc >= 0 {
 			pred[i] = 1
 		}
-		b := bitset.New(s.width)
-		for ri, v := range rows[i] {
-			if v >= 0.5 {
-				b.Set(ri)
-			}
-		}
-		acts[i] = b
 	}
 	return acts, pred
+}
+
+// ActivationsTable is ActivationsColumns over the encoded instances of t;
+// the returned bitsets share one slab.
+func (s *Set) ActivationsTable(t *dataset.Table) (acts []*bitset.Set, pred []int) {
+	slab, pred := s.ActivationsColumns(s.enc.EncodeColumns(t))
+	acts = make([]*bitset.Set, len(slab))
+	for i := range slab {
+		acts[i] = &slab[i]
+	}
+	return acts, pred
+}
+
+// EncodeColumns encodes the instances of t as the predicate columns
+// ActivationsColumns reads.
+func (s *Set) EncodeColumns(t *dataset.Table) *dataset.Columns {
+	return s.enc.EncodeColumns(t)
 }
 
 // ByClass splits the live rules by the class they support.

@@ -5,13 +5,21 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
+	"log/slog"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
+
+	"repro/internal/dataset"
+	"repro/internal/nn"
+	"repro/internal/protocol"
+	"repro/internal/stats"
 )
 
 // rawJobEnv decodes a trace-job envelope keeping the result as raw bytes,
@@ -264,6 +272,107 @@ func TestBodySizeCap(t *testing.T) {
 		resp.Body.Close()
 		if body["error"] == "" {
 			t.Fatalf("%s: empty 413 error", path)
+		}
+	}
+}
+
+// stallReader yields head, then blocks every further Read until release is
+// closed; reached is closed by the first blocked Read.
+type stallReader struct {
+	head             []byte
+	reached, release chan struct{}
+	once             sync.Once
+}
+
+func (r *stallReader) Read(p []byte) (int, error) {
+	if len(r.head) > 0 {
+		n := copy(p, r.head)
+		r.head = r.head[n:]
+		return n, nil
+	}
+	r.once.Do(func() { close(r.reached) })
+	<-r.release
+	return 0, io.ErrUnexpectedEOF
+}
+
+// TestStalledBodyAllocatesFromBytesReceived sends every POST route a
+// request that declares 64 MiB, delivers 16 bytes and stalls: while it
+// stalls, the route must hold a buffer sized by the bytes received, not by
+// the declared length.
+func TestStalledBodyAllocatesFromBytesReceived(t *testing.T) {
+	s, err := NewWithOptions(Options{Logger: slog.New(slog.NewTextHandler(io.Discard, nil))})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer closeServer(t, s)
+	enc, err := dataset.NewEncoder(dataset.TicTacToe().Schema, 4, stats.NewRNG(3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := nn.New(enc.Width(), nn.Config{Hidden: []int{8}, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var model bytes.Buffer
+	if _, err := m.WriteTo(&model); err != nil {
+		t.Fatal(err)
+	}
+	encJSON, err := json.Marshal(enc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range []struct {
+		path string
+		body []byte
+	}{{"/v1/encoder", encJSON}, {"/v1/model", model.Bytes()}} {
+		w := httptest.NewRecorder()
+		s.ServeHTTP(w, httptest.NewRequest(http.MethodPost, p.path, bytes.NewReader(p.body)))
+		if w.Code != http.StatusNoContent {
+			t.Fatalf("%s: status %d: %s", p.path, w.Code, w.Body)
+		}
+	}
+
+	const declared, bound = 64 << 20, 8 << 20
+	for _, rt := range []struct{ path, ct string }{
+		{"/v1/encoder", "application/json"},
+		{"/v1/model", "application/octet-stream"},
+		{"/v1/uploads", protocol.ContentTypeFrame},
+		{"/v1/predict", protocol.ContentTypeFrame},
+		{"/v1/rounds", "text/csv"},
+		{"/v1/rounds", protocol.ContentTypeFrame},
+		{"/v1/trace", "text/csv"},
+		{"/v1/replicate", protocol.ContentTypeFrame},
+	} {
+		// Two collections also empty the sync.Pools, which may still hold
+		// the previous route's buffers.
+		var ms runtime.MemStats
+		runtime.GC()
+		runtime.GC()
+		runtime.ReadMemStats(&ms)
+		before := int64(ms.HeapAlloc)
+		body := &stallReader{head: make([]byte, 16), reached: make(chan struct{}), release: make(chan struct{})}
+		req := httptest.NewRequest(http.MethodPost, rt.path, body)
+		req.ContentLength = declared
+		req.Header.Set("Content-Type", rt.ct)
+		done := make(chan int)
+		go func() {
+			w := httptest.NewRecorder()
+			s.ServeHTTP(w, req)
+			done <- w.Code
+		}()
+		select {
+		case <-body.reached:
+		case code := <-done:
+			t.Fatalf("%s (%s): answered %d without reading the body", rt.path, rt.ct, code)
+		}
+		runtime.GC()
+		runtime.ReadMemStats(&ms)
+		grown := int64(ms.HeapAlloc) - before
+		close(body.release)
+		<-done
+		if grown > bound {
+			t.Errorf("%s (%s): a stalled 16-byte body grew the heap by %d bytes, want at most %d",
+				rt.path, rt.ct, grown, bound)
 		}
 	}
 }

@@ -38,10 +38,16 @@ type predictScratch struct {
 
 var predictPool = sync.Pool{New: func() any { return new(predictScratch) }}
 
+// maxPrealloc bounds what a declared Content-Length may allocate before
+// the body arrives: a request that declares 64 MiB and stalls holds at
+// most this much, and a larger body grows only as its bytes are read.
+const maxPrealloc = 1 << 20
+
 // appendAll reads r to EOF into dst, reusing dst's capacity and pre-growing
-// to sizeHint (when positive) so a known Content-Length reads in one pass.
+// to sizeHint (when positive, at most maxPrealloc) so a known
+// Content-Length reads in one pass.
 func appendAll(dst []byte, r io.Reader, sizeHint int64) ([]byte, error) {
-	if sizeHint > int64(cap(dst)) {
+	if sizeHint = min(sizeHint, maxPrealloc); sizeHint > int64(cap(dst)) {
 		grown := make([]byte, len(dst), sizeHint)
 		copy(grown, dst)
 		dst = grown

@@ -720,8 +720,12 @@ func (s *Server) readBody(w http.ResponseWriter, r *http.Request) ([]byte, error
 	// grow-by-doubling re-zeroes and re-copies an 8KB upload four times
 	// over, which under sustained ingest is a double-digit share of
 	// handler CPU. net/http caps the body at Content-Length, so a full
-	// read here is the whole body.
+	// read here is the whole body. A declared length beyond maxPrealloc is
+	// only a claim: that body grows as its bytes arrive.
 	if n := r.ContentLength; n > 0 && n <= s.opts.MaxBodyBytes {
+		if n > maxPrealloc {
+			return appendAll(nil, rd, n)
+		}
 		buf := make([]byte, n)
 		if _, err := io.ReadFull(rd, buf); err != nil {
 			return nil, err
@@ -1042,8 +1046,9 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	// Parse the CSV up front so malformed input is a 400 now, not a failed
-	// job later; the tracer itself is the only async stage.
-	test, err := dataset.ReadCSV(bytes.NewReader(body), snap.enc.Schema(), dataset.CSVOptions{
+	// job later; the tracer itself is the only async stage. The body goes
+	// straight into predicate columns, with no table or float row between.
+	test, err := snap.enc.ReadCSVColumns(body, dataset.CSVOptions{
 		HasHeader:       true,
 		PositiveLabel:   snap.enc.Schema().Labels[1],
 		TrimSpace:       true,
@@ -1060,7 +1065,7 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 
 	key := traceKey(body, tau, delta, snap.version)
 	job, err := s.engine.Submit(key, func(ctx context.Context) (any, error) {
-		return traceResponse(view.Tracer(core.Config{TauW: tau, Delta: delta, Obs: s.coreObs}).Trace(test)), nil
+		return traceResponse(view.Tracer(core.Config{TauW: tau, Delta: delta, Obs: s.coreObs}).TraceColumns(test)), nil
 	})
 	switch {
 	case errors.Is(err, jobs.ErrQueueFull):

@@ -71,11 +71,12 @@ go test -run=TestBinarizedScoreBatchZeroAlloc -count=1 -v ./internal/nn/ | grep 
 echo "== zero-alloc pin (flight recorder steady state)"
 go test -run=TestRecordSteadyStateZeroAlloc -count=1 -v ./internal/flight/ | grep -E 'PASS|FAIL|allocates'
 
-echo "== fuzz smoke (wire-protocol decoders and WAL replay, 3s each)"
+echo "== fuzz smoke (wire-protocol decoders, WAL replay and the CSV parser, 3s each)"
 for tgt in FuzzReadUpload FuzzParseFrame FuzzPredictRequest FuzzTraceResult FuzzRoundUpdate FuzzScoresSnapshot FuzzFlightEvents FuzzWALSegment; do
     go test -run=NONE -fuzz="^${tgt}\$" -fuzztime=3s ./internal/protocol/ | tail -1
 done
 go test -run=NONE -fuzz='^FuzzReplay$' -fuzztime=3s ./internal/store/ | tail -1
+go test -run=NONE -fuzz='^FuzzReadCSVColumns$' -fuzztime=3s ./internal/dataset/ | tail -1
 
 echo "== bench smoke (1 iteration per hot-path benchmark)"
 go test -run=NONE -bench='BenchmarkTraceIndexed|BenchmarkTrainEpochs' -benchtime=1x \
