@@ -254,7 +254,7 @@ func BenchmarkAblationGrafting(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				m.TrainEpochs(xtr, ytr, m.Config().Epochs)
+				m.TrainEpochs(xtr, ytr, 40)
 				acc = m.Accuracy(xte, yte)
 			}
 			b.ReportMetric(acc, "binarized-accuracy")

@@ -53,7 +53,7 @@
 //	POST /v1/trace         submit a test set (CSV) → async job (?wait= to block)
 //	GET  /v1/trace/{id}    poll a trace job
 //	GET  /v1/rules         inspect the extracted rules
-//	GET  /v1/events        flight-recorder wide events (JSON or binary)
+//	GET  /v1/events        flight-recorder wide events (JSON)
 //	GET  /v1/debug/bundle  one-shot incident capture: state, SLOs, events
 //	                       and every metric as JSON
 //	GET  /v1/version       build identity

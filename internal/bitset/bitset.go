@@ -35,16 +35,6 @@ func New(width int) *Set {
 	}
 }
 
-// FromIndices returns a Set of the given width with exactly the listed bits set.
-// It panics if an index is out of range.
-func FromIndices(width int, indices ...int) *Set {
-	s := New(width)
-	for _, i := range indices {
-		s.Set(i)
-	}
-	return s
-}
-
 // MakeSlab returns n width-bit Sets backed by one shared words allocation —
 // the bulk form of calling New n times. Decoding a batch of activation
 // records into a slab costs two allocations total instead of two per record.
@@ -125,19 +115,6 @@ func (s *Set) Count() int {
 		n += bits.OnesCount64(w)
 	}
 	return n
-}
-
-// Equal reports whether s and o have identical width and bits.
-func (s *Set) Equal(o *Set) bool {
-	if s.width != o.width {
-		return false
-	}
-	for i, w := range s.words {
-		if w != o.words[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // Clone returns an independent copy of s.
@@ -235,7 +212,7 @@ func (s *Set) WeightedIntersect(o *Set, weights []float64) float64 {
 }
 
 // Key returns a string usable as a map key identifying the exact bit pattern.
-// Two sets of equal width share a key iff they are Equal.
+// Two sets of equal width share a key iff they hold the same bits.
 func (s *Set) Key() string {
 	var b strings.Builder
 	b.Grow(len(s.words) * 16)
@@ -247,8 +224,9 @@ func (s *Set) Key() string {
 
 // AppendKey appends the raw little-endian words of the set to dst and
 // returns it: an 8-bytes-per-word dedupe key. Two sets of equal width append
-// identical bytes iff they are Equal; unlike Key it does no hex formatting,
-// so building (and looking up) the key costs a single memcpy-sized pass.
+// identical bytes iff they hold the same bits; unlike Key it does no hex
+// formatting, so building (and looking up) the key costs a single
+// memcpy-sized pass.
 func (s *Set) AppendKey(dst []byte) []byte {
 	for _, w := range s.words {
 		dst = append(dst,

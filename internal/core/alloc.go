@@ -62,11 +62,6 @@ func (r *Result) MacroScoresAt(delta int) []float64 {
 	return r.macroScores(delta, true)
 }
 
-// MacroLossScores is Eq. 6 restricted to misclassified test instances.
-func (r *Result) MacroLossScores() []float64 {
-	return r.macroScores(r.tracer.cfg.Delta, false)
-}
-
 func (r *Result) macroScores(delta int, correct bool) []float64 {
 	if delta < 1 {
 		delta = 1

@@ -44,7 +44,7 @@ func benchFixtureCfg(b *testing.B, trainRows, testRows int, cfg Config) (*Tracer
 	if err != nil {
 		b.Fatal(err)
 	}
-	m.TrainEpochs(xs, ys, m.Config().Epochs)
+	m.TrainEpochs(xs, ys, 8)
 	rs := rules.Extract(m, enc)
 	parts := fl.PartitionSkewSample(train, 8, 2.0, r)
 	return NewTracer(rs, parts, cfg), test
@@ -76,12 +76,12 @@ func BenchmarkTraceIndexedObserved(b *testing.B) {
 // traceOne, on rotating test patterns.
 func BenchmarkTraceActivations(b *testing.B) {
 	tracer, test := benchFixture(b, 4000, 64)
-	acts, pred := tracer.Rules().ActivationsTable(test)
+	acts, pred := tracer.rs.ActivationsTable(test)
 	sides := make([]*bitset.Set, len(acts))
 	for i, a := range acts {
-		sides[i] = a.Clone().And(tracer.Rules().ClassMask(pred[i]))
+		sides[i] = a.Clone().And(tracer.rs.ClassMask(pred[i]))
 	}
-	weights := tracer.Rules().Weights()
+	weights := tracer.rs.Weights()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		s := i % len(sides)
@@ -93,18 +93,16 @@ func BenchmarkTraceActivations(b *testing.B) {
 // upload into its pattern group, then the view's owner histograms.
 func BenchmarkNewTracer(b *testing.B) {
 	tracer, _ := benchFixture(b, 4000, 64)
-	rs := tracer.Rules()
-	uploads := make([]TrainingUpload, tracer.NumTraining())
+	uploads := make([]TrainingUpload, tracer.v.Len())
 	for j, u := range tracer.v.group {
 		uploads[j] = TrainingUpload{
-			Owner:       tracer.TrainOwner(j),
+			Owner:       int(tracer.v.owner[j]),
 			Label:       int(tracer.v.label[u]),
 			Activations: tracer.v.pat[u],
 		}
 	}
-	cfg := tracer.Config()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = NewTracerFromUploads(rs, tracer.NumParticipants(), uploads, cfg)
+		_ = NewTracerFromUploads(tracer.rs, tracer.numParts, uploads, tracer.cfg)
 	}
 }

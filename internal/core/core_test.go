@@ -117,8 +117,8 @@ func approxSlice(t *testing.T, got, want []float64, tol float64, msg string) {
 func TestFig2TraceCounts(t *testing.T) {
 	f := buildFig2(t)
 	tr := NewTracer(f.rs, f.parts, Config{TauW: 0.6})
-	if tr.NumParticipants() != 3 || tr.NumTraining() != 14 {
-		t.Fatalf("tracer indexed %d parts, %d rows", tr.NumParticipants(), tr.NumTraining())
+	if tr.numParts != 3 || tr.v.Len() != 14 {
+		t.Fatalf("tracer indexed %d parts, %d rows", tr.numParts, tr.v.Len())
 	}
 	res := tr.Trace(f.test)
 
@@ -204,7 +204,7 @@ func TestFig2LossScores(t *testing.T) {
 	// te3 is the only traceable miss; B absorbs all of it: 1/4.
 	wantLoss := []float64{0, 0.25, 0}
 	approxSlice(t, res.MicroLossScores(), wantLoss, 1e-12, "micro loss")
-	macroLoss := res.MacroLossScores()
+	macroLoss := res.macroScores(res.tracer.cfg.Delta, false)
 	approxSlice(t, macroLoss, []float64{0, 0.25, 0}, 1e-12, "macro loss")
 }
 

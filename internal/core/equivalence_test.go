@@ -51,7 +51,7 @@ func TestPropertyIndexMatchesLinearScanRandom(t *testing.T) {
 		// Rebuild the expected result with the reference linear scan.
 		acts, pred := fx.rs.ActivationsTable(fx.tab)
 		weights := fx.rs.Weights()
-		wantMatched := make([]int, tr.NumTraining())
+		wantMatched := make([]int, tr.v.Len())
 		for te, a := range acts {
 			side := a.Clone().And(fx.rs.ClassMask(pred[te]))
 			denom := side.WeightedCount(weights)
@@ -65,7 +65,7 @@ func TestPropertyIndexMatchesLinearScanRandom(t *testing.T) {
 				wantMatched[j]++
 			}
 		}
-		matched := res.TrainMatched()
+		matched := trainMatched(res)
 		for j, w := range wantMatched {
 			if matched[j] != w {
 				return false

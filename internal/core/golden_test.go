@@ -40,7 +40,7 @@ func goldenFixture(t testing.TB) (*rules.Set, []*fl.Participant, *dataset.Table)
 	if err != nil {
 		t.Fatal(err)
 	}
-	m.TrainEpochs(xs, ys, m.Config().Epochs)
+	m.TrainEpochs(xs, ys, 6)
 	rs := rules.Extract(m, enc)
 	parts := fl.PartitionSkewLabel(train, 4, 0.8, r)
 	return rs, parts, test
@@ -71,7 +71,7 @@ func traceHash(res *Result) uint32 {
 	for _, row := range res.Counts {
 		h = hashInts(h, row...)
 	}
-	h = hashInts(h, res.TrainMatched()...)
+	h = hashInts(h, trainMatched(res)...)
 	h = hashF64s(h, res.MicroScores()...)
 	h = hashF64s(h, res.MacroScores()...)
 	return h

@@ -8,9 +8,6 @@ package core
 //
 //   - WeightedScores: Eq. 5 with an arbitrary per-test-instance weight,
 //     the primitive every decomposable metric reduces to;
-//   - BalancedAccuracyScores: class-frequency-inverse weights, so both
-//     classes carry equal credit mass (useful on imbalanced tasks like
-//     bank where plain accuracy over-rewards majority-class rules);
 //   - RecallScores: credit restricted to one class's test instances (the
 //     per-class building block of macro-F1-style metrics);
 //   - MergeResults: additivity over test sets / metrics — combine tracing
@@ -49,24 +46,6 @@ func (r *Result) WeightedScores(weights []float64) []float64 {
 		}
 	}
 	return scores
-}
-
-// BalancedAccuracyScores allocates under the balanced-accuracy metric: each
-// class contributes half the credit mass regardless of its frequency, i.e.
-// weight[te] = 1 / (2 · #instances of class Truth[te]). On imbalanced tasks
-// this stops majority-class rules from dominating the contribution ranking.
-func (r *Result) BalancedAccuracyScores() []float64 {
-	var classCount [2]int
-	for te := 0; te < r.TestSize; te++ {
-		classCount[r.Truth[te]]++
-	}
-	weights := make([]float64, r.TestSize)
-	for te := 0; te < r.TestSize; te++ {
-		if n := classCount[r.Truth[te]]; n > 0 {
-			weights[te] = 1 / (2 * float64(n))
-		}
-	}
-	return r.WeightedScores(weights)
 }
 
 // RecallScores allocates credit only over test instances whose true label

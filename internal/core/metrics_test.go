@@ -54,27 +54,6 @@ func TestWeightedScoresGroupRationality(t *testing.T) {
 	}
 }
 
-func TestBalancedAccuracyScores(t *testing.T) {
-	f := buildFig2(t)
-	res := NewTracer(f.rs, f.parts, Config{TauW: 0.6}).Trace(f.test)
-	bal := res.BalancedAccuracyScores()
-	// Test set: te0 (pos, correct, covered), te1 (pos, wrong), te2 (neg,
-	// correct, covered), te3 (pos, wrong). Classes: 3 positive, 1 negative.
-	// Balanced weights: pos instances 1/6 each, neg instance 1/2.
-	// te0 credit = 1/6 split A 4/6, C 2/6; te2 credit = 1/2 split B 6/8, C 2/8.
-	want := []float64{
-		(1.0 / 6) * (4.0 / 6),
-		(1.0 / 2) * (6.0 / 8),
-		(1.0/6)*(2.0/6) + (1.0/2)*(2.0/8),
-	}
-	approxSlice(t, bal, want, 1e-12, "balanced accuracy scores")
-	// B's share rises vs plain micro: it carries the scarce negative class.
-	micro := res.MicroScores()
-	if bal[1] <= micro[1] {
-		t.Fatalf("balanced weighting should boost the minority-class holder: %v vs %v", bal[1], micro[1])
-	}
-}
-
 func TestRecallScores(t *testing.T) {
 	f := buildFig2(t)
 	res := NewTracer(f.rs, f.parts, Config{TauW: 0.6}).Trace(f.test)
@@ -86,10 +65,18 @@ func TestRecallScores(t *testing.T) {
 	// Negative recall: te2 is the only negative instance → full credit.
 	approxSlice(t, negRecall, []float64{0, 6.0 / 8, 2.0 / 8}, 1e-12, "neg recall")
 	// Additivity across metrics: balanced accuracy = (recall+ + recall-)/2.
+	// Its weights are 1/6 per positive instance and 1/2 for the negative
+	// one: te0 credit 1/6 splits A 4/6, C 2/6; te2 credit 1/2 splits B 6/8,
+	// C 2/8.
+	balanced := []float64{
+		(1.0 / 6) * (4.0 / 6),
+		(1.0 / 2) * (6.0 / 8),
+		(1.0/6)*(2.0/6) + (1.0/2)*(2.0/8),
+	}
 	for i := range posRecall {
 		sum := (posRecall[i] + negRecall[i]) / 2
-		if math.Abs(sum-res.BalancedAccuracyScores()[i]) > 1e-12 {
-			t.Fatalf("additivity over metrics violated at %d", i)
+		if math.Abs(sum-balanced[i]) > 1e-12 {
+			t.Fatalf("additivity over metrics violated at %d: %v, want %v", i, sum, balanced[i])
 		}
 	}
 }

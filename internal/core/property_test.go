@@ -115,7 +115,7 @@ func TestPropertyMacroBoundedAndNonNegativeRandom(t *testing.T) {
 		tr := NewTracerFromUploads(fx.rs, fx.parts, fx.ups, Config{TauW: 0.8, Delta: 1 + r.Intn(3)})
 		res := tr.Trace(fx.tab)
 		for _, variant := range [][]float64{
-			res.MicroScores(), res.MacroScores(), res.MicroLossScores(), res.MacroLossScores(),
+			res.MicroScores(), res.MacroScores(), res.MicroLossScores(), res.macroScores(res.tracer.cfg.Delta, false),
 		} {
 			for _, s := range variant {
 				if s < 0 || s > 1+1e-9 {

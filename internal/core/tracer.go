@@ -146,21 +146,6 @@ type traceScratch struct {
 func (t *Tracer) getScratch() *traceScratch   { return t.scratch.Get().(*traceScratch) }
 func (t *Tracer) putScratch(sc *traceScratch) { t.scratch.Put(sc) }
 
-// NumParticipants returns the number of indexed participants.
-func (t *Tracer) NumParticipants() int { return t.numParts }
-
-// NumTraining returns the number of indexed training instances.
-func (t *Tracer) NumTraining() int { return t.v.Len() }
-
-// Config returns the tracer's effective configuration.
-func (t *Tracer) Config() Config { return t.cfg }
-
-// Rules returns the rule set the tracer operates on.
-func (t *Tracer) Rules() *rules.Set { return t.rs }
-
-// TrainOwner returns the participant index owning training instance j.
-func (t *Tracer) TrainOwner(j int) int { return int(t.v.owner[j]) }
-
 // Result holds one tracing pass over a test set. All per-test slices are
 // indexed by test-instance position.
 type Result struct {
@@ -234,16 +219,6 @@ func (r *Result) interp() {
 		}
 		r.pending = nil
 	})
-}
-
-// TrainMatched returns, per indexed training instance, how many test
-// instances it was related to (drives the useless-data ratio).
-func (r *Result) TrainMatched() []int {
-	out := make([]int, r.tracer.v.Len())
-	for j, u := range r.tracer.v.group {
-		out[j] = r.groupHits[u]
-	}
-	return out
 }
 
 // ruleFreq accumulates weighted rule-activation credit densely by rule

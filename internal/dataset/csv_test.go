@@ -41,9 +41,7 @@ func TestReadCSVBasic(t *testing.T) {
 	if tab.Instances[2].Values[0] != -1 {
 		t.Fatalf("row 2 unknown category = %v", tab.Instances[2].Values[0])
 	}
-	if err := tab.Validate(); err != nil {
-		t.Fatal(err)
-	}
+	checkTable(t, tab)
 }
 
 func TestReadCSVErrors(t *testing.T) {

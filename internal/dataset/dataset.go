@@ -96,44 +96,6 @@ type Table struct {
 // Len returns the number of instances.
 func (t *Table) Len() int { return len(t.Instances) }
 
-// PositiveFraction returns the share of label-1 instances.
-func (t *Table) PositiveFraction() float64 {
-	if t.Len() == 0 {
-		return 0
-	}
-	pos := 0
-	for _, in := range t.Instances {
-		if in.Label == 1 {
-			pos++
-		}
-	}
-	return float64(pos) / float64(t.Len())
-}
-
-// Validate checks every instance against the schema.
-func (t *Table) Validate() error {
-	if err := t.Schema.Validate(); err != nil {
-		return err
-	}
-	for i, in := range t.Instances {
-		if len(in.Values) != t.Schema.NumFeatures() {
-			return fmt.Errorf("dataset: instance %d has %d values, want %d", i, len(in.Values), t.Schema.NumFeatures())
-		}
-		if in.Label != 0 && in.Label != 1 {
-			return fmt.Errorf("dataset: instance %d has label %d, want 0 or 1", i, in.Label)
-		}
-		for j, f := range t.Schema.Features {
-			if f.Kind == Discrete {
-				v := int(in.Values[j])
-				if float64(v) != in.Values[j] || v < -1 || v >= len(f.Categories) {
-					return fmt.Errorf("dataset: instance %d feature %q has invalid category %v", i, f.Name, in.Values[j])
-				}
-			}
-		}
-	}
-	return nil
-}
-
 // Subset returns a new Table sharing the schema and referencing the selected
 // instances (values are not deep-copied; treat instances as immutable).
 func (t *Table) Subset(indices []int) *Table {
@@ -151,22 +113,6 @@ func (t *Table) Clone() *Table {
 		vals := make([]float64, len(in.Values))
 		copy(vals, in.Values)
 		out.Instances[i] = Instance{Values: vals, Label: in.Label}
-	}
-	return out
-}
-
-// Concat returns a new table with the instances of all inputs, which must
-// share a schema. Concat of zero tables returns nil.
-func Concat(tables ...*Table) *Table {
-	if len(tables) == 0 {
-		return nil
-	}
-	out := &Table{Schema: tables[0].Schema}
-	for _, t := range tables {
-		if t.Schema != out.Schema {
-			panic("dataset: Concat across different schemas")
-		}
-		out.Instances = append(out.Instances, t.Instances...)
 	}
 	return out
 }

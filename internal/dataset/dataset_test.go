@@ -31,33 +31,37 @@ func TestSchemaValidate(t *testing.T) {
 	}
 }
 
-func TestTableValidate(t *testing.T) {
-	s := &Schema{
-		Name: "s",
-		Features: []Feature{
-			{Name: "d", Kind: Discrete, Categories: []string{"a", "b"}},
-		},
+// checkTable fails t unless every instance of tab fits its schema: one
+// value per feature, a 0/1 label, and a known category or -1 (unknown) for
+// every discrete feature.
+func checkTable(t *testing.T, tab *Table) {
+	t.Helper()
+	if err := tab.Schema.Validate(); err != nil {
+		t.Fatal(err)
 	}
-	ok := &Table{Schema: s, Instances: []Instance{
-		{Values: []float64{0}, Label: 0},
-		{Values: []float64{-1}, Label: 1}, // -1 = unknown is allowed
-	}}
-	if err := ok.Validate(); err != nil {
-		t.Fatalf("valid table rejected: %v", err)
-	}
-	for _, bad := range []*Table{
-		{Schema: s, Instances: []Instance{{Values: []float64{0, 1}, Label: 0}}},
-		{Schema: s, Instances: []Instance{{Values: []float64{0}, Label: 2}}},
-		{Schema: s, Instances: []Instance{{Values: []float64{5}, Label: 0}}},
-		{Schema: s, Instances: []Instance{{Values: []float64{0.5}, Label: 0}}},
-	} {
-		if err := bad.Validate(); err == nil {
-			t.Errorf("table %+v should be invalid", bad.Instances)
+	for i, in := range tab.Instances {
+		if len(in.Values) != tab.Schema.NumFeatures() || in.Label != 0 && in.Label != 1 {
+			t.Fatalf("instance %d = %+v", i, in)
+		}
+		for j, f := range tab.Schema.Features {
+			v := int(in.Values[j])
+			if f.Kind == Discrete && (float64(v) != in.Values[j] || v < -1 || v >= len(f.Categories)) {
+				t.Fatalf("instance %d feature %q has invalid category %v", i, f.Name, in.Values[j])
+			}
 		}
 	}
 }
 
-func TestSubsetCloneConcat(t *testing.T) {
+// positiveFraction returns the share of label-1 instances in tab.
+func positiveFraction(tab *Table) float64 {
+	pos := 0
+	for _, in := range tab.Instances {
+		pos += in.Label
+	}
+	return float64(pos) / float64(tab.Len())
+}
+
+func TestSubsetClone(t *testing.T) {
 	tab := TicTacToe()
 	sub := tab.Subset([]int{0, 5, 10})
 	if sub.Len() != 3 {
@@ -70,13 +74,6 @@ func TestSubsetCloneConcat(t *testing.T) {
 	cl.Instances[0].Values[0] = 99
 	if tab.Instances[0].Values[0] == 99 {
 		t.Fatal("Clone should deep-copy values")
-	}
-	cc := Concat(sub, sub)
-	if cc.Len() != 6 {
-		t.Fatalf("Concat len = %d", cc.Len())
-	}
-	if Concat() != nil {
-		t.Fatal("Concat of nothing should be nil")
 	}
 }
 
@@ -100,12 +97,12 @@ func TestStratifiedSplitPreservesRatio(t *testing.T) {
 	if train.Len()+test.Len() != tab.Len() {
 		t.Fatalf("rows lost: %d + %d != %d", train.Len(), test.Len(), tab.Len())
 	}
-	base := tab.PositiveFraction()
-	if math.Abs(test.PositiveFraction()-base) > 0.01 {
-		t.Fatalf("test ratio %v drifted from %v", test.PositiveFraction(), base)
+	base := positiveFraction(tab)
+	if math.Abs(positiveFraction(test)-base) > 0.01 {
+		t.Fatalf("test ratio %v drifted from %v", positiveFraction(test), base)
 	}
-	if math.Abs(train.PositiveFraction()-base) > 0.01 {
-		t.Fatalf("train ratio %v drifted from %v", train.PositiveFraction(), base)
+	if math.Abs(positiveFraction(train)-base) > 0.01 {
+		t.Fatalf("train ratio %v drifted from %v", positiveFraction(train), base)
 	}
 }
 
@@ -115,13 +112,11 @@ func TestTicTacToeMatchesUCI(t *testing.T) {
 		t.Fatalf("tic-tac-toe has %d boards, UCI has 958", got)
 	}
 	// UCI positive rate: 626/958 ≈ 65.34%.
-	pos := int(tab.PositiveFraction()*float64(tab.Len()) + 0.5)
+	pos := int(positiveFraction(tab)*float64(tab.Len()) + 0.5)
 	if pos != 626 {
 		t.Fatalf("positives = %d, want 626", pos)
 	}
-	if err := tab.Validate(); err != nil {
-		t.Fatal(err)
-	}
+	checkTable(t, tab)
 	// Determinism.
 	again := TicTacToe()
 	for i := range tab.Instances {
@@ -165,13 +160,11 @@ func TestTicTacToeLabelsConsistent(t *testing.T) {
 func TestAdultGenerator(t *testing.T) {
 	r := stats.NewRNG(42)
 	tab := Adult(r, 4000)
-	if err := tab.Validate(); err != nil {
-		t.Fatal(err)
-	}
+	checkTable(t, tab)
 	if tab.Len() != 4000 {
 		t.Fatalf("len = %d", tab.Len())
 	}
-	frac := tab.PositiveFraction()
+	frac := positiveFraction(tab)
 	if frac < 0.15 || frac > 0.40 {
 		t.Fatalf("adult positive fraction = %v, want ~0.25", frac)
 	}
@@ -198,10 +191,8 @@ func TestAdultGenerator(t *testing.T) {
 func TestBankGenerator(t *testing.T) {
 	r := stats.NewRNG(43)
 	tab := Bank(r, 4000)
-	if err := tab.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	frac := tab.PositiveFraction()
+	checkTable(t, tab)
+	frac := positiveFraction(tab)
 	if frac < 0.05 || frac > 0.30 {
 		t.Fatalf("bank positive fraction = %v, want ~0.14", frac)
 	}
@@ -226,10 +217,8 @@ func TestBankGenerator(t *testing.T) {
 func TestDota2Generator(t *testing.T) {
 	r := stats.NewRNG(44)
 	tab := Dota2(r, 3000)
-	if err := tab.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	frac := tab.PositiveFraction()
+	checkTable(t, tab)
+	frac := positiveFraction(tab)
 	if math.Abs(frac-0.5) > 0.07 {
 		t.Fatalf("dota2 positive fraction = %v, want ~0.5", frac)
 	}
@@ -365,9 +354,7 @@ func TestRegistry(t *testing.T) {
 		if tab.Len() == 0 {
 			t.Fatalf("%s generated empty table", b.Name)
 		}
-		if err := tab.Validate(); err != nil {
-			t.Fatalf("%s: %v", b.Name, err)
-		}
+		checkTable(t, tab)
 	}
 	if _, err := ByName("adult"); err != nil {
 		t.Fatal(err)

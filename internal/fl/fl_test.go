@@ -204,16 +204,6 @@ func TestSampleCountClamps(t *testing.T) {
 	}
 }
 
-func TestUnion(t *testing.T) {
-	tab := dataset.TicTacToe()
-	r := stats.NewRNG(7)
-	parts := PartitionSkewSample(tab, 4, 1, r)
-	u := Union(parts)
-	if u.Len() != tab.Len() {
-		t.Fatalf("union size = %d, want %d", u.Len(), tab.Len())
-	}
-}
-
 func TestFedAvgTrainsUsableModel(t *testing.T) {
 	if testing.Short() {
 		t.Skip("training test")

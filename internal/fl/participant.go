@@ -162,12 +162,3 @@ func apportion(ratios []float64, total, minEach int) []int {
 	}
 	return counts
 }
-
-// Union concatenates the local datasets of the given participants.
-func Union(parts []*Participant) *dataset.Table {
-	tables := make([]*dataset.Table, len(parts))
-	for i, p := range parts {
-		tables[i] = p.Data
-	}
-	return dataset.Concat(tables...)
-}

@@ -9,10 +9,7 @@ package fl
 // The simulation derives pair masks from a shared seed (standing in for a
 // Diffie-Hellman agreement) and verifies bit-exact cancellation.
 
-import (
-	"math"
-	"math/rand"
-)
+import "math/rand"
 
 // maskScale bounds the magnitude of mask components. Masking is exact in
 // real-number arithmetic; in float64 the masked sum differs from the plain
@@ -70,17 +67,4 @@ func AggregateMasked(uploads [][]float64) []float64 {
 		}
 	}
 	return sum
-}
-
-// maskingError returns the max absolute deviation between a masked
-// aggregate and the plain weighted sum — exposed for tests and for the
-// trainer's self-check.
-func maskingError(masked, plain []float64) float64 {
-	worst := 0.0
-	for k := range masked {
-		if d := math.Abs(masked[k] - plain[k]); d > worst {
-			worst = d
-		}
-	}
-	return worst
 }

@@ -89,9 +89,6 @@ func (b *Binarized) compile(m *Model) {
 // InDim returns the expected input width.
 func (b *Binarized) InDim() int { return b.inDim }
 
-// RuleDim returns the number of rule activations produced.
-func (b *Binarized) RuleDim() int { return b.ruleDim }
-
 func (b *Binarized) getBuf() *fwdBuffers {
 	if buf, ok := b.bufs.Get().(*fwdBuffers); ok {
 		return buf

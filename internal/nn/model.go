@@ -219,9 +219,6 @@ func (m *Model) InDim() int { return m.inDim }
 // RuleDim returns the number of candidate rules (logical nodes).
 func (m *Model) RuleDim() int { return m.ruleDim }
 
-// Config returns the model's configuration.
-func (m *Model) Config() Config { return m.cfg }
-
 // HeadWeights returns the linear head weights over rule activations (live
 // slice; callers must not modify).
 func (m *Model) HeadWeights() []float64 { return m.headW }

@@ -45,9 +45,8 @@ func TestModelRoundTrip(t *testing.T) {
 				t.Fatalf("param %d changed: %v vs %v", i, a[i], b[i])
 			}
 		}
-		if back.Config().LearningRate != model.Config().LearningRate ||
-			back.Config().Grafting != model.Config().Grafting {
-			t.Fatalf("config changed: %+v vs %+v", back.Config(), model.Config())
+		if back.cfg.LearningRate != model.cfg.LearningRate || back.cfg.Grafting != model.cfg.Grafting {
+			t.Fatalf("config changed: %+v vs %+v", back.cfg, model.cfg)
 		}
 		// Behavioural equivalence on suitably-sized inputs.
 		x := make([]float64, model.InDim())

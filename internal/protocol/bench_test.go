@@ -84,29 +84,11 @@ func benchUploadFrame(b *testing.B) []byte {
 	return frame
 }
 
-// BenchmarkUploadIngest compares the ingest pipelines: the legacy path
-// materializes an Upload (one bitset per record), re-encodes it for the WAL
-// and converts to training records; the zero-copy path validates in place,
-// persists the raw bytes (free) and slab-decodes straight into training
+// BenchmarkUploadIngest times the zero-copy ingest path: validate in place,
+// persist the raw bytes (free) and slab-decode straight into training
 // records.
 func BenchmarkUploadIngest(b *testing.B) {
 	frame := benchUploadFrame(b)
-	b.Run("path=v1_decode_reencode", func(b *testing.B) {
-		b.SetBytes(int64(len(frame)))
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			up, err := DecodeUpload(frame)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if _, err := up.Encode(); err != nil {
-				b.Fatal(err)
-			}
-			if _, err := ToTrainingUploads([]*Upload{up}, 256, 1); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
 	b.Run("path=v2_zerocopy", func(b *testing.B) {
 		b.SetBytes(int64(len(frame)))
 		b.ReportAllocs()

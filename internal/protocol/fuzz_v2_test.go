@@ -16,22 +16,33 @@ func seedFrame(f *testing.F, valid []byte) {
 	f.Add(huge)
 }
 
+// frameOf frames body as one CTFL message.
+func frameOf(version, msgType uint8, body []byte) []byte {
+	return appendFramed(nil, version, msgType, func(d []byte) []byte { return append(d, body...) })
+}
+
 // FuzzParseFrame: the envelope parser must never panic and must only accept
 // CRC-clean input whose re-framed bytes parse identically.
 func FuzzParseFrame(f *testing.F) {
-	seedFrame(f, AppendFrame(nil, Version2, TypePredictResponse, []byte{1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0}))
+	seedFrame(f, frameOf(Version2, TypePredictResponse, []byte{1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0}))
 	f.Add([]byte{})
 	f.Add([]byte("CTFL"))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		fr, rest, err := ParseFrame(data)
+		var (
+			fr   Frame
+			rest []byte
+			err  error
+		)
+		// The envelope is parsed in place: no allocation but an error's.
+		checkAllocBound(t, data, 0, func() { fr, rest, err = ParseFrame(data) })
 		if err != nil {
 			return
 		}
 		if len(fr.Body)+len(rest) > len(data) {
 			t.Fatalf("frame views exceed input: body %d rest %d input %d", len(fr.Body), len(rest), len(data))
 		}
-		again, _, err := ParseFrame(AppendFrame(nil, fr.Version, fr.Type, fr.Body))
+		again, _, err := ParseFrame(frameOf(fr.Version, fr.Type, fr.Body))
 		if err != nil {
 			t.Fatalf("re-framed frame rejected: %v", err)
 		}
@@ -52,15 +63,25 @@ func FuzzPredictRequest(f *testing.F) {
 	f.Add([]byte{})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		fr, _, err := ParseFrame(data)
+		var (
+			req  PredictRequest
+			rows []float32
+			err  error
+		)
+		// Each 4-byte value decodes to a 4-byte float32, copied a few times
+		// as append grows rows.
+		checkAllocBound(t, data, 4, func() {
+			var fr Frame
+			if fr, _, err = ParseFrame(data); err != nil {
+				return
+			}
+			if req, err = ParsePredictRequest(fr); err == nil {
+				rows = req.AppendRows(nil)
+			}
+		})
 		if err != nil {
 			return
 		}
-		req, err := ParsePredictRequest(fr)
-		if err != nil {
-			return
-		}
-		rows := req.AppendRows(nil)
 		if len(rows) != req.Width*req.Count {
 			t.Fatalf("%d values for %d×%d request", len(rows), req.Count, req.Width)
 		}
@@ -94,11 +115,18 @@ func FuzzTraceResult(f *testing.F) {
 	f.Add([]byte{})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		fr, _, err := ParseFrame(data)
-		if err != nil {
-			return
-		}
-		tr, err := ParseTraceResult(fr)
+		var (
+			tr  *TraceResult
+			err error
+		)
+		// A 4-byte suspect decodes to an 8-byte int, copied a few times as
+		// append grows the slice; a score is 8 bytes either way.
+		checkAllocBound(t, data, 8, func() {
+			var fr Frame
+			if fr, _, err = ParseFrame(data); err == nil {
+				tr, err = ParseTraceResult(fr)
+			}
+		})
 		if err != nil {
 			return
 		}
@@ -133,13 +161,19 @@ func FuzzRoundUpdate(f *testing.F) {
 	f.Add([]byte{})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		info, verr := ValidateRoundUpdateFrame(data)
-		fr, _, perr := ParseFrame(data)
-		var u RoundUpdate
-		uerr := perr
-		if perr == nil {
-			u, uerr = ParseRoundUpdate(fr)
-		}
+		var (
+			info       RoundUpdateInfo
+			u          RoundUpdate
+			verr, uerr error
+		)
+		// The validator and the view both read the frame in place.
+		checkAllocBound(t, data, 0, func() {
+			info, verr = ValidateRoundUpdateFrame(data)
+			var fr Frame
+			if fr, _, uerr = ParseFrame(data); uerr == nil {
+				u, uerr = ParseRoundUpdate(fr)
+			}
+		})
 		if (verr == nil) != (uerr == nil) {
 			t.Fatalf("validator err %v, view err %v on %d-byte input", verr, uerr, len(data))
 		}
@@ -151,7 +185,10 @@ func FuzzRoundUpdate(f *testing.F) {
 		}
 		parts := make([]RoundParticipant, u.Count)
 		for i := range parts {
-			parts[i] = u.Participant(i)
+			parts[i] = RoundParticipant{ID: u.ID(i), Weight: u.Weight(i), Params: make([]float64, u.ParamCount)}
+			for j := range parts[i].Params {
+				parts[i].Params[j] = u.Row(i).At(j)
+			}
 		}
 		enc, err := AppendRoundUpdate(nil, u.Round, parts)
 		if err != nil {
@@ -170,7 +207,7 @@ func FuzzRoundUpdate(f *testing.F) {
 				t.Fatalf("participant %d changed", i)
 			}
 			for j := 0; j < u.ParamCount; j++ {
-				if math.Float64bits(u2.Param(i, j)) != math.Float64bits(u.Param(i, j)) {
+				if math.Float64bits(u2.Row(i).At(j)) != math.Float64bits(u.Row(i).At(j)) {
 					t.Fatalf("param [%d][%d] bits changed", i, j)
 				}
 			}
@@ -189,11 +226,18 @@ func FuzzScoresSnapshot(f *testing.F) {
 	f.Add([]byte{})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		fr, _, err := ParseFrame(data)
-		if err != nil {
-			return
-		}
-		s, err := ParseScoresSnapshot(fr)
+		var (
+			s   *ScoresSnapshot
+			err error
+		)
+		// Each 8-byte score decodes to a float64, copied a few times as
+		// append grows the slice.
+		checkAllocBound(t, data, 4, func() {
+			var fr Frame
+			if fr, _, err = ParseFrame(data); err == nil {
+				s, err = ParseScoresSnapshot(fr)
+			}
+		})
 		if err != nil {
 			return
 		}

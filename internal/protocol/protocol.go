@@ -28,7 +28,6 @@ import (
 	"io"
 
 	"repro/internal/bitset"
-	"repro/internal/core"
 )
 
 var magic = [4]byte{'C', 'T', 'F', 'L'}
@@ -118,114 +117,4 @@ func (u *Upload) Encode() ([]byte, error) {
 		return nil, err
 	}
 	return buf.Bytes(), nil
-}
-
-// DecodeUpload decodes a single framed activation upload from b, rejecting
-// trailing garbage. It is the []byte counterpart of ReadUpload, used when
-// frames are stored at rest (e.g. in a WAL) rather than streamed.
-func DecodeUpload(b []byte) (*Upload, error) {
-	r := bytes.NewReader(b)
-	u, err := ReadUpload(r)
-	if err != nil {
-		return nil, err
-	}
-	if r.Len() != 0 {
-		return nil, fmt.Errorf("protocol: %d trailing bytes after frame", r.Len())
-	}
-	return u, nil
-}
-
-// ReadUpload decodes one framed activation upload from r.
-func ReadUpload(r io.Reader) (*Upload, error) {
-	header := make([]byte, 10) // magic + version + type + body length
-	if _, err := io.ReadFull(r, header); err != nil {
-		return nil, fmt.Errorf("protocol: reading header: %w", err)
-	}
-	if !bytes.Equal(header[:4], magic[:]) {
-		return nil, fmt.Errorf("protocol: bad magic %q", header[:4])
-	}
-	if header[4] != Version {
-		return nil, fmt.Errorf("protocol: unsupported version %d", header[4])
-	}
-	if header[5] != msgActivationUpload {
-		return nil, fmt.Errorf("protocol: unexpected message type %d", header[5])
-	}
-	bodyLen := binary.LittleEndian.Uint32(header[6:10])
-	if bodyLen < 12 {
-		return nil, fmt.Errorf("protocol: body too short (%d bytes)", bodyLen)
-	}
-	body := make([]byte, bodyLen)
-	if _, err := io.ReadFull(r, body); err != nil {
-		return nil, fmt.Errorf("protocol: reading body: %w", err)
-	}
-	var crcb [4]byte
-	if _, err := io.ReadFull(r, crcb[:]); err != nil {
-		return nil, fmt.Errorf("protocol: reading checksum: %w", err)
-	}
-	sum := crc32.NewIEEE()
-	sum.Write(header)
-	sum.Write(body)
-	if got := binary.LittleEndian.Uint32(crcb[:]); got != sum.Sum32() {
-		return nil, fmt.Errorf("protocol: checksum mismatch")
-	}
-
-	u := &Upload{
-		Participant: int(binary.LittleEndian.Uint32(body[0:4])),
-		RuleWidth:   int(binary.LittleEndian.Uint32(body[4:8])),
-	}
-	if u.Participant >= MaxRoundParticipants {
-		return nil, fmt.Errorf("protocol: participant id %d outside [0,%d)", u.Participant, MaxRoundParticipants)
-	}
-	count := binary.LittleEndian.Uint32(body[8:12])
-	if count > maxRecords {
-		return nil, fmt.Errorf("protocol: record count %d exceeds limit", count)
-	}
-	if u.RuleWidth < 0 {
-		return nil, fmt.Errorf("protocol: negative rule width")
-	}
-	recBytes := 1 + (u.RuleWidth+7)/8
-	want := 12 + int(count)*recBytes
-	if int(bodyLen) != want {
-		return nil, fmt.Errorf("protocol: body length %d, want %d for %d records", bodyLen, want, count)
-	}
-	at := 12
-	for rec := uint32(0); rec < count; rec++ {
-		label := int(body[at])
-		if label != 0 && label != 1 {
-			return nil, fmt.Errorf("protocol: record %d has invalid label %d", rec, label)
-		}
-		at++
-		s := bitset.New(u.RuleWidth)
-		for bit := 0; bit < u.RuleWidth; bit++ {
-			if body[at+bit/8]&(1<<(bit%8)) != 0 {
-				s.Set(bit)
-			}
-		}
-		at += (u.RuleWidth + 7) / 8
-		u.Records = append(u.Records, Record{Label: label, Activations: s})
-	}
-	return u, nil
-}
-
-// ToTrainingUploads converts decoded protocol uploads into the tracer's
-// input form. Every upload must agree on ruleWidth; participant ids must be
-// dense in [0, numParts).
-func ToTrainingUploads(uploads []*Upload, ruleWidth, numParts int) ([]core.TrainingUpload, error) {
-	var out []core.TrainingUpload
-	for _, u := range uploads {
-		if u.RuleWidth != ruleWidth {
-			return nil, fmt.Errorf("protocol: upload width %d, server expects %d", u.RuleWidth, ruleWidth)
-		}
-		if u.Participant >= numParts {
-			return nil, fmt.Errorf("protocol: participant %d out of range [0,%d)", u.Participant, numParts)
-		}
-		for _, rec := range u.Records {
-			out = append(out, core.TrainingUpload{
-				Owner:       u.Participant,
-				Label:       rec.Label,
-				Activations: rec.Activations,
-			})
-		}
-	}
-	return out, nil
 }

@@ -2,6 +2,8 @@ package protocol
 
 import (
 	"bytes"
+	"encoding/binary"
+	"hash/crc32"
 	"strings"
 	"testing"
 
@@ -19,33 +21,42 @@ func sampleUpload() *Upload {
 		Participant: 3,
 		RuleWidth:   70,
 		Records: []Record{
-			{Label: 1, Activations: bitset.FromIndices(70, 0, 5, 63, 64, 69)},
+			{Label: 1, Activations: setOf(70, 0, 5, 63, 64, 69)},
 			{Label: 0, Activations: bitset.New(70)},
-			{Label: 1, Activations: bitset.FromIndices(70, 7)},
+			{Label: 1, Activations: setOf(70, 7)},
 		},
 	}
 }
 
+// setOf returns a width-bit set holding exactly the listed bits.
+func setOf(width int, bits ...int) *bitset.Set {
+	s := bitset.New(width)
+	for _, b := range bits {
+		s.Set(b)
+	}
+	return s
+}
+
 func TestRoundTrip(t *testing.T) {
 	u := sampleUpload()
-	var buf bytes.Buffer
-	if err := u.Write(&buf); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ReadUpload(&buf)
+	frame, err := u.Encode()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Participant != u.Participant || got.RuleWidth != u.RuleWidth || len(got.Records) != len(u.Records) {
-		t.Fatalf("header mismatch: %+v", got)
+	got, info, err := AppendTrainingRecords(nil, frame)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if info.Participant != u.Participant || info.RuleWidth != u.RuleWidth || len(got) != len(u.Records) {
+		t.Fatalf("header mismatch: %+v", info)
 	}
 	for i := range u.Records {
-		if got.Records[i].Label != u.Records[i].Label {
-			t.Fatalf("record %d label mismatch", i)
+		if got[i].Owner != u.Participant || got[i].Label != u.Records[i].Label {
+			t.Fatalf("record %d owner/label mismatch", i)
 		}
-		if !got.Records[i].Activations.Equal(u.Records[i].Activations) {
+		if got[i].Activations.String() != u.Records[i].Activations.String() {
 			t.Fatalf("record %d activations mismatch: %s vs %s",
-				i, got.Records[i].Activations, u.Records[i].Activations)
+				i, got[i].Activations, u.Records[i].Activations)
 		}
 	}
 }
@@ -60,16 +71,17 @@ func TestMultipleFramesOnOneStream(t *testing.T) {
 	if err := u2.Write(&buf); err != nil {
 		t.Fatal(err)
 	}
-	a, err := ReadUpload(&buf)
+	stream := buf.Bytes()
+	a, err := ValidateUploadFrame(stream)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := ReadUpload(&buf)
+	b, err := ValidateUploadFrame(stream[a.FrameLen:])
 	if err != nil {
 		t.Fatal(err)
 	}
-	if a.Participant != 3 || b.Participant != 5 {
-		t.Fatalf("frames out of order: %d, %d", a.Participant, b.Participant)
+	if a.Participant != 3 || b.Participant != 5 || a.FrameLen+b.FrameLen != len(stream) {
+		t.Fatalf("frames out of order: %+v, %+v", a, b)
 	}
 }
 
@@ -93,59 +105,39 @@ func TestWriteValidation(t *testing.T) {
 
 func TestCorruptionDetected(t *testing.T) {
 	u := sampleUpload()
-	var buf bytes.Buffer
-	if err := u.Write(&buf); err != nil {
+	raw, err := u.Encode()
+	if err != nil {
 		t.Fatal(err)
 	}
-	raw := buf.Bytes()
 
 	// Flip one payload byte: checksum must catch it.
 	tampered := append([]byte(nil), raw...)
 	tampered[15] ^= 0xFF
-	if _, err := ReadUpload(bytes.NewReader(tampered)); err == nil || !strings.Contains(err.Error(), "checksum") {
+	if _, err := ValidateUploadFrame(tampered); err == nil || !strings.Contains(err.Error(), "checksum") {
 		t.Fatalf("tampered frame err = %v, want checksum error", err)
 	}
 
 	// Bad magic.
 	badMagic := append([]byte(nil), raw...)
 	badMagic[0] = 'X'
-	if _, err := ReadUpload(bytes.NewReader(badMagic)); err == nil || !strings.Contains(err.Error(), "magic") {
+	if _, err := ValidateUploadFrame(badMagic); err == nil || !strings.Contains(err.Error(), "magic") {
 		t.Fatalf("bad magic err = %v", err)
 	}
 
-	// Bad version.
-	badVer := append([]byte(nil), raw...)
+	// Bad version, under a valid checksum.
+	badVer := append([]byte(nil), raw[:len(raw)-frameCRCLen]...)
 	badVer[4] = 9
-	if _, err := ReadUpload(bytes.NewReader(badVer)); err == nil || !strings.Contains(err.Error(), "version") {
+	badVer = binary.LittleEndian.AppendUint32(badVer, crc32.ChecksumIEEE(badVer))
+	if _, err := ValidateUploadFrame(badVer); err == nil || !strings.Contains(err.Error(), "version") {
 		t.Fatalf("bad version err = %v", err)
 	}
 
-	// Truncated stream.
-	if _, err := ReadUpload(bytes.NewReader(raw[:8])); err == nil {
+	// Truncated frame.
+	if _, err := ValidateUploadFrame(raw[:8]); err == nil {
 		t.Fatal("truncated header should error")
 	}
-	if _, err := ReadUpload(bytes.NewReader(raw[:len(raw)-2])); err == nil {
+	if _, err := ValidateUploadFrame(raw[:len(raw)-2]); err == nil {
 		t.Fatal("truncated checksum should error")
-	}
-}
-
-func TestToTrainingUploads(t *testing.T) {
-	u := sampleUpload()
-	out, err := ToTrainingUploads([]*Upload{u}, 70, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(out) != 3 {
-		t.Fatalf("records = %d", len(out))
-	}
-	if out[0].Owner != 3 || out[0].Label != 1 {
-		t.Fatalf("record 0 = %+v", out[0])
-	}
-	if _, err := ToTrainingUploads([]*Upload{u}, 71, 4); err == nil {
-		t.Fatal("width mismatch should error")
-	}
-	if _, err := ToTrainingUploads([]*Upload{u}, 70, 3); err == nil {
-		t.Fatal("participant out of range should error")
 	}
 }
 
@@ -192,17 +184,16 @@ func TestEndToEndServerFromWire(t *testing.T) {
 	}
 
 	// Server side: decode frames, build the tracer from uploads only.
-	var uploads []*Upload
-	for i := 0; i < len(parts); i++ {
-		u, err := ReadUpload(&wire)
+	var recs []core.TrainingUpload
+	for stream := wire.Bytes(); len(stream) > 0; {
+		info, err := ValidateUploadFrame(stream)
 		if err != nil {
 			t.Fatal(err)
 		}
-		uploads = append(uploads, u)
-	}
-	recs, err := ToTrainingUploads(uploads, rs.Width(), len(parts))
-	if err != nil {
-		t.Fatal(err)
+		if recs, _, err = AppendTrainingRecords(recs, stream[:info.FrameLen]); err != nil {
+			t.Fatal(err)
+		}
+		stream = stream[info.FrameLen:]
 	}
 	cfg := core.Config{TauW: 0.9}
 	fromWire := core.NewTracerFromUploads(rs, len(parts), recs, cfg).Trace(test)

@@ -19,8 +19,7 @@ package protocol
 //	type 5  round update      per-round participant model updates for the
 //	                          streaming valuation engine (see v2rounds.go)
 //	type 6  scores snapshot   streaming contribution scores (see v2rounds.go)
-//	type 7  flight events     wide-event flight-recorder snapshots for
-//	                          GET /v1/events (see v2flight.go)
+//	type 8  WAL segment       leader-to-follower replication (see v2cluster.go)
 //
 // Negotiation is carried by HTTP, not by the frames: a request's
 // Content-Type selects the decoder (application/x-ctfl = binary frame,
@@ -117,16 +116,15 @@ func appendFramed(dst []byte, version, msgType uint8, fill func([]byte) []byte) 
 	return append(dst, crcb[:]...)
 }
 
-// AppendFrame appends body framed as one CTFL message to dst.
-func AppendFrame(dst []byte, version, msgType uint8, body []byte) []byte {
-	return appendFramed(dst, version, msgType, func(d []byte) []byte {
-		return append(d, body...)
-	})
-}
-
 func appendU32(dst []byte, v uint32) []byte {
 	var b [4]byte
 	binary.LittleEndian.PutUint32(b[:], v)
+	return append(dst, b[:]...)
+}
+
+func appendU64(dst []byte, v uint64) []byte {
+	var b [8]byte
+	binary.LittleEndian.PutUint64(b[:], v)
 	return append(dst, b[:]...)
 }
 
@@ -352,8 +350,9 @@ type UploadFrameInfo struct {
 // ValidateUploadFrame CRC-checks and structurally validates the first
 // activation-upload frame in b without materializing any record: no bitsets,
 // no Upload, zero heap allocations (pinned by TestValidateUploadFrameZeroAlloc).
-// A frame it accepts is exactly a frame DecodeUpload accepts, so raw frame
-// bytes can be persisted and replayed without a decode→re-encode round trip.
+// Raw frame bytes it accepts are persisted as they arrived and replayed
+// through AppendTrainingRecords or ExtendIndex, with no decode→re-encode
+// round trip.
 func ValidateUploadFrame(b []byte) (UploadFrameInfo, error) {
 	f, rest, err := ParseFrame(b)
 	if err != nil {
@@ -398,7 +397,7 @@ func ValidateUploadFrame(b []byte) (UploadFrameInfo, error) {
 }
 
 // uploadRecords re-validates one whole upload frame (it usually arrives from
-// the WAL), rejecting trailing bytes like DecodeUpload, and returns its info
+// the WAL), rejecting trailing bytes, and returns its info
 // and record bytes: info.Records records of one label byte plus the packed
 // activation bits each.
 func uploadRecords(frame []byte) (UploadFrameInfo, []byte, error) {

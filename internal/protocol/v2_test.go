@@ -1,7 +1,6 @@
 package protocol
 
 import (
-	"bytes"
 	"encoding/binary"
 	"hash/crc32"
 	"math"
@@ -237,9 +236,10 @@ func randomUpload(r interface{ Intn(int) int }, part, w, n int) *Upload {
 	return u
 }
 
-// TestValidateUploadFrameMatchesDecode pins the zero-copy validator to the
-// materializing decoder: on any byte string, both accept or both reject, and
-// on acceptance the structural summary matches.
+// TestValidateUploadFrameMatchesDecode pins the zero-copy validator and the
+// slab decoder to the reference decoder: on any byte string all three
+// accept or reject alike, and on acceptance the header and every record
+// match.
 func TestValidateUploadFrameMatchesDecode(t *testing.T) {
 	r := stats.NewRNG(11)
 	var inputs [][]byte
@@ -264,61 +264,30 @@ func TestValidateUploadFrameMatchesDecode(t *testing.T) {
 	for i := range inputs {
 		inputs = append(inputs, inputs[i][:len(inputs[i])/2])
 	}
-
 	for _, in := range inputs {
-		up, derr := DecodeUpload(in)
-		info, verr := ValidateUploadFrame(in)
-		if verr == nil && len(in) != info.FrameLen {
-			verr = errTrailing
-		}
-		if (derr == nil) != (verr == nil) {
-			t.Fatalf("decode err %v, validate err %v on %d-byte input", derr, verr, len(in))
-		}
-		if derr != nil {
-			continue
-		}
-		if info.Participant != up.Participant || info.RuleWidth != up.RuleWidth || info.Records != len(up.Records) {
-			t.Fatalf("validate %+v vs decode %d/%d/%d", info, up.Participant, up.RuleWidth, len(up.Records))
-		}
+		checkUploadDecoders(t, in)
 	}
 }
 
-var errTrailing = bytes.ErrTooLarge // any non-nil sentinel for the differential check
-
-// TestAppendTrainingRecordsMatchesToTrainingUploads pins the slab decode to
-// the legacy decode→convert path record by record.
-func TestAppendTrainingRecordsMatchesToTrainingUploads(t *testing.T) {
+// TestAppendTrainingRecordsMatchesReference pins the slab decode to the
+// reference decoder record by record.
+func TestAppendTrainingRecordsMatchesReference(t *testing.T) {
 	r := stats.NewRNG(12)
 	u := randomUpload(r, 2, 97, 9)
 	frame, err := u.Encode()
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	want, err := ToTrainingUploads([]*Upload{u}, 97, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
+	checkUploadDecoders(t, frame)
 	got, info, err := AppendTrainingRecords(nil, frame)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if info.Participant != 2 || info.Records != 9 || info.FrameLen != len(frame) {
-		t.Fatalf("info = %+v", info)
-	}
-	if len(got) != len(want) {
-		t.Fatalf("%d records, want %d", len(got), len(want))
-	}
-	for i := range want {
-		if got[i].Owner != want[i].Owner || got[i].Label != want[i].Label {
-			t.Fatalf("record %d: %+v vs %+v", i, got[i], want[i])
-		}
-		if !got[i].Activations.Equal(want[i].Activations) {
-			t.Fatalf("record %d activations differ", i)
-		}
+	if info.Participant != 2 || info.Records != 9 || info.FrameLen != len(frame) || len(got) != 9 {
+		t.Fatalf("info = %+v, %d records", info, len(got))
 	}
 
-	// Trailing bytes after the frame are rejected, like DecodeUpload.
+	// Trailing bytes after the frame are rejected.
 	if _, _, err := AppendTrainingRecords(nil, append(append([]byte(nil), frame...), 0)); err == nil {
 		t.Fatal("trailing byte accepted")
 	}
@@ -334,7 +303,7 @@ func TestUploadParticipantBound(t *testing.T) {
 	if _, err := ValidateUploadFrame(frame); err != nil {
 		t.Fatalf("highest participant id rejected: %v", err)
 	}
-	if _, err := DecodeUpload(frame); err != nil {
+	if _, _, err := AppendTrainingRecords(nil, frame); err != nil {
 		t.Fatalf("highest participant id rejected: %v", err)
 	}
 	for _, id := range []uint32{MaxRoundParticipants, 1 << 30} {
@@ -344,8 +313,8 @@ func TestUploadParticipantBound(t *testing.T) {
 		if _, err := ValidateUploadFrame(bad); err == nil {
 			t.Errorf("ValidateUploadFrame accepted participant %d", id)
 		}
-		if _, err := DecodeUpload(bad); err == nil {
-			t.Errorf("DecodeUpload accepted participant %d", id)
+		if _, _, err := AppendTrainingRecords(nil, bad); err == nil {
+			t.Errorf("AppendTrainingRecords accepted participant %d", id)
 		}
 	}
 	if _, err := randomUpload(stats.NewRNG(14), MaxRoundParticipants, 16, 2).Encode(); err == nil {

@@ -87,7 +87,7 @@ func TestWALSegmentRejects(t *testing.T) {
 	}
 
 	// Wrong frame type.
-	if _, err := ParseWALSegment(Frame{Version: Version2, Type: TypeFlightEvents, Body: fr.Body}); err == nil {
+	if _, err := ParseWALSegment(Frame{Version: Version2, Type: TypeTraceResult, Body: fr.Body}); err == nil {
 		t.Fatal("wrong message type accepted")
 	}
 
@@ -153,15 +153,25 @@ func FuzzWALSegment(f *testing.F) {
 	f.Add([]byte{})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		fr, _, err := ParseFrame(data)
-		if err != nil || fr.Version != Version2 || fr.Type != TypeWALSegment {
-			return
-		}
-		seg, err := ParseWALSegment(fr)
+		var (
+			fr   Frame
+			seg  WALSegment
+			recs []WALRecord
+			err  error
+		)
+		// A record of at least 5 bytes decodes to a 32-byte WALRecord that
+		// aliases its payload, copied a few times as append grows recs.
+		checkAllocBound(t, data, 32, func() {
+			if fr, _, err = ParseFrame(data); err != nil {
+				return
+			}
+			if seg, err = ParseWALSegment(fr); err == nil {
+				recs = seg.AppendRecords(nil)
+			}
+		})
 		if err != nil {
 			return
 		}
-		recs := seg.AppendRecords(nil)
 		re, err := AppendWALSegment(nil, seg.StartSeq, seg.Reset, recs)
 		if err != nil {
 			t.Fatalf("re-encode of accepted segment failed: %v", err)

@@ -211,9 +211,6 @@ func (u RoundUpdate) Weight(i int) float64 {
 	return math.Float64frombits(binary.LittleEndian.Uint64(u.raw[i*u.stride()+4:]))
 }
 
-// Param returns participant i's j-th parameter, bit-exactly as sent.
-func (u RoundUpdate) Param(i, j int) float64 { return u.Row(i).At(j) }
-
 // ParamRow is one participant's flat parameter vector: ParamCount
 // little-endian float64 values aliasing the frame.
 type ParamRow []byte
@@ -227,20 +224,6 @@ func (u RoundUpdate) Row(i int) ParamRow {
 // At returns parameter j, bit-exactly as sent.
 func (r ParamRow) At(j int) float64 {
 	return math.Float64frombits(binary.LittleEndian.Uint64(r[8*j:]))
-}
-
-// Participant materializes record i (copying its parameters).
-func (u RoundUpdate) Participant(i int) RoundParticipant {
-	p := RoundParticipant{
-		ID:     u.ID(i),
-		Weight: u.Weight(i),
-		Params: make([]float64, u.ParamCount),
-	}
-	base := i*u.stride() + 12
-	for j := range p.Params {
-		p.Params[j] = math.Float64frombits(binary.LittleEndian.Uint64(u.raw[base+8*j:]))
-	}
-	return p
 }
 
 // ScoresSnapshot is the streaming valuation state at one instant: rounds

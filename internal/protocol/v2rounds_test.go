@@ -60,13 +60,9 @@ func TestRoundUpdateRoundTrip(t *testing.T) {
 			t.Fatalf("participant %d: id %d weight %g, want %d %g", i, u.ID(i), u.Weight(i), p.ID, p.Weight)
 		}
 		for j, v := range p.Params {
-			if u.Param(i, j) != v {
-				t.Fatalf("param [%d][%d]: %g != %g", i, j, u.Param(i, j), v)
+			if u.Row(i).At(j) != v {
+				t.Fatalf("param [%d][%d]: %g != %g", i, j, u.Row(i).At(j), v)
 			}
-		}
-		got := u.Participant(i)
-		if got.ID != p.ID || got.Weight != p.Weight || len(got.Params) != len(p.Params) {
-			t.Fatalf("materialized participant %d: %+v", i, got)
 		}
 	}
 }
@@ -131,9 +127,9 @@ func TestRoundUpdateNaNParams(t *testing.T) {
 	}
 	for i, p := range parts {
 		for j, v := range p.Params {
-			if math.Float64bits(u.Param(i, j)) != math.Float64bits(v) {
+			if math.Float64bits(u.Row(i).At(j)) != math.Float64bits(v) {
 				t.Fatalf("param [%d][%d] bits changed: %x != %x",
-					i, j, math.Float64bits(u.Param(i, j)), math.Float64bits(v))
+					i, j, math.Float64bits(u.Row(i).At(j)), math.Float64bits(v))
 			}
 		}
 	}

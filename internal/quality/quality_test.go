@@ -28,7 +28,11 @@ func buildScenario(t *testing.T) (*core.Result, []core.TrainingUpload, *rules.Se
 	if err != nil {
 		t.Fatal(err)
 	}
-	xs, ys := enc.EncodeTable(fl.Union(parts))
+	union := &dataset.Table{Schema: train.Schema}
+	for _, p := range parts {
+		union.Instances = append(union.Instances, p.Data.Instances...)
+	}
+	xs, ys := enc.EncodeTable(union)
 	m, err := nn.New(enc.Width(), nn.Config{
 		Hidden: []int{48}, Epochs: 30, Grafting: true, Seed: 3,
 		L1Logic: 2e-4, L2Head: 1e-3, KeepBest: true,
@@ -36,7 +40,7 @@ func buildScenario(t *testing.T) (*core.Result, []core.TrainingUpload, *rules.Se
 	if err != nil {
 		t.Fatal(err)
 	}
-	m.TrainEpochs(xs, ys, m.Config().Epochs)
+	m.TrainEpochs(xs, ys, 30)
 	rs := rules.Extract(m, enc)
 
 	var uploads []core.TrainingUpload

@@ -29,7 +29,7 @@ func refEvalCoalition(t *testing.T, m *nn.Model, u protocol.RoundUpdate, mask ui
 		}
 		w := u.Weight(i) / totalW
 		for j := range agg {
-			agg[j] += w * u.Param(i, j)
+			agg[j] += w * u.Row(i).At(j)
 		}
 	}
 	c := m.Clone()

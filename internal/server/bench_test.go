@@ -199,6 +199,7 @@ func BenchmarkServerUploadIngest(b *testing.B) {
 	b.SetBytes(int64(len(fx.frames)))
 	b.ReportAllocs()
 	rd := bytes.NewReader(fx.frames)
+	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if i%64 == 0 && i > 0 {
 			b.StopTimer()

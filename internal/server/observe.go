@@ -26,7 +26,6 @@ import (
 	"time"
 
 	"repro/internal/flight"
-	"repro/internal/protocol"
 	"repro/internal/telemetry"
 )
 
@@ -195,8 +194,7 @@ func parseKind(v string) (flight.Kind, bool) {
 }
 
 // EventJSON is the JSON rendering of one flight-recorder event; it
-// preserves every field, so a captured bundle re-encodes through the
-// type-7 codec bit-identically.
+// preserves every field.
 type EventJSON struct {
 	Seq        uint64 `json:"seq"`
 	Unix       int64  `json:"unix"`
@@ -228,25 +226,6 @@ func eventJSON(ev flight.Event) EventJSON {
 	}
 }
 
-// event converts the JSON rendering back to the recorder's event value.
-func (e EventJSON) event() (flight.Event, error) {
-	k, ok := parseKind(e.Kind)
-	if !ok {
-		return flight.Event{}, fmt.Errorf("unknown event kind %q", e.Kind)
-	}
-	o, ok := flight.ParseOutcome(e.Outcome)
-	if !ok {
-		return flight.Event{}, fmt.Errorf("unknown event outcome %q", e.Outcome)
-	}
-	return flight.Event{
-		Seq: e.Seq, Unix: e.Unix, Kind: k, Outcome: o,
-		Status: e.Status, Route: e.Route, Method: e.Method, RequestID: e.RequestID,
-		DurationNs: e.DurationNs, BytesIn: e.BytesIn, BytesOut: e.BytesOut,
-		Retries: e.Retries, Faults: e.Faults, Aux: e.Aux,
-		CacheHit: e.CacheHit, Degraded: e.Degraded, Err: e.Err,
-	}, nil
-}
-
 // EventsResponse is the JSON shape of GET /v1/events.
 type EventsResponse struct {
 	Stats  flight.Stats `json:"stats"`
@@ -255,8 +234,7 @@ type EventsResponse struct {
 
 // handleEvents serves the flight recorder's retained events, filtered by
 // ?since= (sequence), ?min_latency= (duration), ?outcome=, ?kind=, and
-// ?n= (newest N). JSON by default; a binary type-7 frame for
-// Accept: application/x-ctfl.
+// ?n= (newest N), as JSON.
 func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
 		httpError(w, http.StatusMethodNotAllowed, errors.New("GET required"))
@@ -304,17 +282,6 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	f.Limit = n
 
 	evs := s.flightRec.Snapshot(f)
-	if acceptsFrame(r) {
-		frame, err := protocol.AppendFlightEvents(nil, evs)
-		if err != nil {
-			httpError(w, http.StatusInternalServerError, err)
-			return
-		}
-		w.Header().Set("Content-Type", protocol.ContentTypeFrame)
-		w.WriteHeader(http.StatusOK)
-		_, _ = w.Write(frame)
-		return
-	}
 	out := make([]EventJSON, len(evs))
 	for i, ev := range evs {
 		out[i] = eventJSON(ev)

@@ -1,12 +1,12 @@
 package server
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 	"time"
 
@@ -186,6 +186,20 @@ func TestEventsEndpoint(t *testing.T) {
 		}
 	}
 
+	// The route speaks JSON only, whatever the client accepts.
+	req, _ := http.NewRequest(http.MethodGet, ts.URL+"/v1/events", nil)
+	req.Header.Set("Accept", protocol.ContentTypeFrame)
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var withAccept EventsResponse
+	err = json.NewDecoder(resp.Body).Decode(&withAccept)
+	resp.Body.Close()
+	if ct := resp.Header.Get("Content-Type"); err != nil || !strings.HasPrefix(ct, "application/json") || len(withAccept.Events) == 0 {
+		t.Fatalf("Accept: %s got Content-Type %q, %d events, decode err %v", protocol.ContentTypeFrame, ct, len(withAccept.Events), err)
+	}
+
 	// Malformed filters are 400s, not silent full snapshots.
 	for _, q := range []string{"?since=x", "?min_latency=fast", "?outcome=meh", "?kind=meh", "?n=-1"} {
 		resp, err := http.Get(ts.URL + "/v1/events" + q)
@@ -204,58 +218,6 @@ func jsonNum(v uint64) string {
 	return string(b)
 }
 
-// TestEventsBinaryRoundTrip pins the wire contract: the binary response is
-// one type-7 frame whose decode → re-encode is bit-identical.
-func TestEventsBinaryRoundTrip(t *testing.T) {
-	s := New()
-	defer closeServer(t, s)
-	ts := httptest.NewServer(s)
-	defer ts.Close()
-	for range 3 {
-		resp, err := http.Get(ts.URL + "/v1/rules") // 409s → pinned events
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp.Body.Close()
-	}
-
-	req, _ := http.NewRequest(http.MethodGet, ts.URL+"/v1/events", nil)
-	req.Header.Set("Accept", protocol.ContentTypeFrame)
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if ct := resp.Header.Get("Content-Type"); ct != protocol.ContentTypeFrame {
-		t.Fatalf("Content-Type = %q, want %q", ct, protocol.ContentTypeFrame)
-	}
-	raw, err := io.ReadAll(resp.Body)
-	if err != nil {
-		t.Fatal(err)
-	}
-	f, rest, err := protocol.ParseFrame(raw)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rest) != 0 {
-		t.Fatalf("%d trailing bytes after events frame", len(rest))
-	}
-	evs, err := protocol.ParseFlightEvents(f)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(evs) == 0 {
-		t.Fatal("binary snapshot is empty")
-	}
-	again, err := protocol.AppendFlightEvents(nil, evs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(raw, again) {
-		t.Fatal("events frame decode → re-encode is not bit-identical")
-	}
-}
-
 // getBundle captures GET /v1/debug/bundle.
 func getBundle(t *testing.T, ts *httptest.Server) DebugBundle {
 	t.Helper()
@@ -266,8 +228,8 @@ func getBundle(t *testing.T, ts *httptest.Server) DebugBundle {
 	return b
 }
 
-// TestDebugBundle captures the one-shot bundle and proves the embedded
-// events survive a JSON → codec → JSON round trip bit-identically.
+// TestDebugBundle captures the one-shot bundle and checks each part of it
+// is filled.
 func TestDebugBundle(t *testing.T) {
 	s := New()
 	defer closeServer(t, s)
@@ -291,35 +253,6 @@ func TestDebugBundle(t *testing.T) {
 	}
 	if _, ok := b.Telemetry["ctfl_process_goroutines"]; !ok {
 		t.Fatal("bundle telemetry missing process runtime gauges")
-	}
-
-	// Bit-identical codec round trip of the captured events.
-	evs := make([]flight.Event, len(b.Events))
-	for i, ej := range b.Events {
-		ev, err := ej.event()
-		if err != nil {
-			t.Fatal(err)
-		}
-		evs[i] = ev
-	}
-	frame, err := protocol.AppendFlightEvents(nil, evs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	f, _, err := protocol.ParseFrame(frame)
-	if err != nil {
-		t.Fatal(err)
-	}
-	decoded, err := protocol.ParseFlightEvents(f)
-	if err != nil {
-		t.Fatal(err)
-	}
-	again, err := protocol.AppendFlightEvents(nil, decoded)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(frame, again) {
-		t.Fatal("bundle events do not round-trip bit-identically through the type-7 codec")
 	}
 }
 

@@ -12,7 +12,7 @@
 //	POST /v1/trace         submit a reserved test set (CSV) → trace job
 //	GET  /v1/trace/{id}    poll a trace job's status / result
 //	GET  /v1/rules         the extracted rule set (interpretability)
-//	GET  /v1/events        flight-recorder wide events (JSON or binary v2)
+//	GET  /v1/events        flight-recorder wide events (JSON)
 //	GET  /v1/debug/bundle  one-shot incident capture: state, SLOs, events
 //	                       and the full telemetry snapshot
 //	GET  /v1/version       build identity (module, VCS revision)
@@ -56,6 +56,7 @@ import (
 	"fmt"
 	"io"
 	"log/slog"
+	"math"
 	"mime"
 	"net/http"
 	"strconv"
@@ -1164,7 +1165,7 @@ func (s *Server) handleTraceJob(w http.ResponseWriter, r *http.Request) {
 func traceKey(body []byte, tau float64, delta int, version uint64) string {
 	h := sha256.New()
 	var meta [24]byte
-	binary.LittleEndian.PutUint64(meta[0:8], uint64(int64(tau*1e12)))
+	binary.LittleEndian.PutUint64(meta[0:8], math.Float64bits(tau))
 	binary.LittleEndian.PutUint64(meta[8:16], uint64(int64(delta)))
 	binary.LittleEndian.PutUint64(meta[16:24], version)
 	h.Write(meta[:])

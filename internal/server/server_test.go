@@ -179,6 +179,17 @@ func TestFullLifecycle(t *testing.T) {
 			t.Fatal("trace is not repeatable")
 		}
 	}
+	// A tau that differs from 0.9 only past the 12th decimal is a distinct
+	// submission, not a cache hit.
+	resp = post(t, ts, "/v1/trace?tau=0.9000000000001&wait=60s", "text/csv", fx.testCSV)
+	var env3 TraceJobResponse
+	if err := json.NewDecoder(resp.Body).Decode(&env3); err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if env3.Result == nil || env3.CacheHit {
+		t.Fatalf("trace at tau 0.9+1e-13 = %+v, want a fresh result", env3)
+	}
 
 	// Rules endpoint.
 	resp, err = http.Get(ts.URL + "/v1/rules")

@@ -85,8 +85,3 @@ func Dirichlet(r *rand.Rand, n int, alpha float64) []float64 {
 func Shuffle(r *rand.Rand, idx []int) {
 	r.Shuffle(len(idx), func(i, j int) { idx[i], idx[j] = idx[j], idx[i] })
 }
-
-// Perm returns a random permutation of [0,n).
-func Perm(r *rand.Rand, n int) []int {
-	return r.Perm(n)
-}

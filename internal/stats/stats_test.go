@@ -235,7 +235,7 @@ func TestPropertySpearmanInvariantToMonotoneTransform(t *testing.T) {
 	}
 }
 
-func TestShuffleAndPermArePermutations(t *testing.T) {
+func TestShuffleIsPermutation(t *testing.T) {
 	r := NewRNG(5)
 	idx := []int{0, 1, 2, 3, 4, 5, 6}
 	Shuffle(r, idx)
@@ -245,13 +245,5 @@ func TestShuffleAndPermArePermutations(t *testing.T) {
 	}
 	if len(seen) != 7 {
 		t.Fatalf("Shuffle lost elements: %v", idx)
-	}
-	p := Perm(r, 10)
-	seen = make(map[int]bool)
-	for _, v := range p {
-		seen[v] = true
-	}
-	if len(seen) != 10 {
-		t.Fatalf("Perm not a permutation: %v", p)
 	}
 }

@@ -262,21 +262,6 @@ func (e *SLOEvaluator) Tick(now time.Time) []SLOTransition {
 	return changed
 }
 
-// Breached reports whether the named objective is currently in breach.
-func (e *SLOEvaluator) Breached(name string) bool {
-	if e == nil {
-		return false
-	}
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	for _, o := range e.objs {
-		if o.cfg.Name == name {
-			return o.breached
-		}
-	}
-	return false
-}
-
 // Reset clears the named objective's window and breach state. The
 // degraded-mode controller calls this when an external health probe has
 // positively verified recovery: the retained bad samples predate the

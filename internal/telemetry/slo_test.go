@@ -15,6 +15,16 @@ func tickN(e *SLOEvaluator, at time.Time, n int, step time.Duration, drive func(
 	return at, all
 }
 
+// breached reports the named objective's breach state as Snapshot shows it.
+func breached(e *SLOEvaluator, name string) bool {
+	for _, st := range e.Snapshot() {
+		if st.Name == name {
+			return st.Breached
+		}
+	}
+	return false
+}
+
 func TestSLOBreachTripsAndClears(t *testing.T) {
 	reg := NewRegistry()
 	total := reg.Counter("test_total", "")
@@ -30,12 +40,12 @@ func TestSLOBreachTripsAndClears(t *testing.T) {
 	now := time.Unix(1_700_000_000, 0)
 	// Healthy traffic: no breach.
 	now, trs := tickN(e, now, 10, 5*time.Second, func(int) { total.Add(100) })
-	if len(trs) != 0 || e.Breached("availability") {
+	if len(trs) != 0 || breached(e, "availability") {
 		t.Fatalf("healthy traffic breached: %v", trs)
 	}
 	// 50% failures: burn = 0.5/0.01 = 50 in both windows once sustained.
 	now, trs = tickN(e, now, 12, 5*time.Second, func(int) { total.Add(100); bad.Add(50) })
-	if e.Breached("availability") != true {
+	if breached(e, "availability") != true {
 		t.Fatal("sustained 50% failures did not breach")
 	}
 	entered := 0
@@ -50,7 +60,7 @@ func TestSLOBreachTripsAndClears(t *testing.T) {
 	// Recovery: healthy traffic long enough to flush both windows clears
 	// with hysteresis.
 	_, trs = tickN(e, now, 80, 5*time.Second, func(int) { total.Add(100) })
-	if e.Breached("availability") {
+	if breached(e, "availability") {
 		t.Fatal("breach did not clear after sustained recovery")
 	}
 	cleared := false
@@ -85,7 +95,7 @@ func TestSLOSingleSpikeDoesNotBreach(t *testing.T) {
 	total.Add(100)
 	bad.Add(100)
 	e.Tick(now.Add(5 * time.Second))
-	if e.Breached("availability") {
+	if breached(e, "availability") {
 		t.Fatal("one spike against a long clean history breached")
 	}
 }
@@ -129,11 +139,11 @@ func TestSLOResetClearsBreach(t *testing.T) {
 	})
 	now := time.Unix(1_700_000_000, 0)
 	now, _ = tickN(e, now, 10, 5*time.Second, func(int) { total.Add(10); bad.Add(10) })
-	if !e.Breached("wal") {
+	if !breached(e, "wal") {
 		t.Fatal("total failure did not breach")
 	}
 	e.Reset("wal")
-	if e.Breached("wal") {
+	if breached(e, "wal") {
 		t.Fatal("Reset left the objective breached")
 	}
 	if snap := e.Snapshot(); snap[0].FastBurn != 0 || snap[0].SlowBurn != 0 {
@@ -151,7 +161,7 @@ func TestSLONilEvaluator(t *testing.T) {
 	if got := e.Tick(time.Unix(0, 0)); got != nil {
 		t.Fatalf("nil Tick = %v", got)
 	}
-	if e.Breached("x") || e.Snapshot() != nil {
+	if breached(e, "x") || e.Snapshot() != nil {
 		t.Fatal("nil evaluator not inert")
 	}
 	e.Reset("x")

@@ -19,6 +19,17 @@ import (
 	"repro/internal/fl"
 )
 
+// newSyntheticOracle builds an oracle over n virtual participants whose
+// "training" is fn: the engine's concurrency, dedup and determinism
+// machinery without FedAvg cost.
+func newSyntheticOracle(n int, fn func(mask uint64) (float64, error)) *Oracle {
+	o, err := NewFuncOracle(n, fn)
+	if err != nil {
+		panic(err)
+	}
+	return o
+}
+
 // syntheticUtility is a deterministic, mask-pure utility cheap enough to
 // evaluate thousands of coalitions. Safe for concurrent use.
 func syntheticUtility(mask uint64) (float64, error) {
@@ -106,9 +117,6 @@ func TestOracleSingleflightDedup(t *testing.T) {
 	}
 	if o.Evals() != 1 {
 		t.Fatalf("Evals = %d, want 1", o.Evals())
-	}
-	if o.CacheHits() != callers-1 {
-		t.Fatalf("CacheHits = %d, want %d", o.CacheHits(), callers-1)
 	}
 	for i := 1; i < callers; i++ {
 		if vals[i] != vals[0] {
@@ -381,12 +389,11 @@ func TestSharedOracleConcurrentSchemes(t *testing.T) {
 		}
 	}
 	// The four schemes overlap heavily on a 3-participant game (singletons,
-	// leave-one-outs, the grand coalition); the shared cache must have
-	// served a substantial portion without retraining.
-	if shared.CacheHits() == 0 {
-		t.Fatal("shared oracle recorded no cache hits across schemes")
+	// leave-one-outs, the grand coalition); the shared cache trains each of
+	// its 7 non-empty coalitions at most once.
+	if shared.Evals() > 7 {
+		t.Fatalf("shared oracle trained %d coalitions of 7", shared.Evals())
 	}
-	t.Logf("shared oracle: %d trainings, %d served from cache/in-flight", shared.Evals(), shared.CacheHits())
 }
 
 // TestSyntheticWorkerInvarianceShort is the -short variant of the
@@ -417,8 +424,8 @@ func TestSyntheticWorkerInvarianceShort(t *testing.T) {
 	}
 }
 
-// TestObsWiring: the oracle's counters observe every coalition training
-// and every cache-served utility.
+// TestObsWiring: the oracle's counter observes every coalition training,
+// and a cache-served utility trains nothing.
 func TestObsWiring(t *testing.T) {
 	o := newSyntheticOracle(6, syntheticUtility)
 	if err := o.EvalBatch(PlanLeaveOneOut(6)); err != nil {
@@ -429,9 +436,6 @@ func TestObsWiring(t *testing.T) {
 	}
 	if got := o.Evals(); got != 7 {
 		t.Fatalf("evals = %d, want 7", got)
-	}
-	if got := o.CacheHits(); got != 1 {
-		t.Fatalf("cache hits = %d, want 1", got)
 	}
 }
 

@@ -74,7 +74,6 @@ type Oracle struct {
 	sem     chan struct{}
 
 	evals atomic.Int64
-	hits  atomic.Int64
 
 	// EmptyUtility is v(∅); defaults to majority-class accuracy on the test
 	// set (the best label-only guess, ~50% on balanced tasks as in the
@@ -129,18 +128,6 @@ func NewFuncOracle(n int, fn func(mask uint64) (float64, error)) (*Oracle, error
 	return o, nil
 }
 
-// newSyntheticOracle builds an oracle over n virtual participants whose
-// "training" is the given function — the engine's concurrency, dedup and
-// determinism machinery without FedAvg cost. In-package only (tests,
-// benchmarks).
-func newSyntheticOracle(n int, fn func(mask uint64) (float64, error)) *Oracle {
-	o, err := NewFuncOracle(n, fn)
-	if err != nil {
-		panic(err)
-	}
-	return o
-}
-
 func (o *Oracle) initShards() {
 	for i := range o.shards {
 		o.shards[i].done = make(map[uint64]float64)
@@ -150,10 +137,6 @@ func (o *Oracle) initShards() {
 
 // Evals reports the coalition trainings performed so far (cache misses).
 func (o *Oracle) Evals() int { return int(o.evals.Load()) }
-
-// CacheHits reports the utilities served without training: completed-cache
-// hits plus calls that waited on another goroutine's in-flight training.
-func (o *Oracle) CacheHits() int { return int(o.hits.Load()) }
 
 // shard spreads masks across shards with a Fibonacci hash; nearby masks
 // (singleton and leave-one-out families differ in one bit) land apart.
@@ -197,15 +180,11 @@ func (o *Oracle) Utility(mask uint64) (float64, error) {
 	sh.mu.Lock()
 	if u, ok := sh.done[mask]; ok {
 		sh.mu.Unlock()
-		o.hits.Add(1)
 		return u, nil
 	}
 	if c, ok := sh.inflight[mask]; ok {
 		sh.mu.Unlock()
 		<-c.done
-		if c.err == nil {
-			o.hits.Add(1)
-		}
 		return c.val, c.err
 	}
 	c := &inflight{done: make(chan struct{})}

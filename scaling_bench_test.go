@@ -40,7 +40,7 @@ func tracingFixture(b *testing.B, trainRows, testRows int) (*rules.Set, []*fl.Pa
 	if err != nil {
 		b.Fatal(err)
 	}
-	m.TrainEpochs(xs, ys, m.Config().Epochs)
+	m.TrainEpochs(xs, ys, 10)
 	rs := rules.Extract(m, enc)
 	parts := fl.PartitionSkewSample(train, 8, 2.0, r)
 	return rs, parts, test

@@ -30,6 +30,9 @@ go vet ./...
 echo "== go vet (bench/, a nested module the root ./... skips)"
 (cd bench && go vet ./...)
 
+echo "== deadcode (every non-test function has a non-test caller or a keep-list reason)"
+go run ./scripts/deadcode
+
 echo "== go build ./..."
 go build ./...
 
@@ -72,7 +75,7 @@ echo "== zero-alloc pin (flight recorder steady state)"
 go test -run=TestRecordSteadyStateZeroAlloc -count=1 -v ./internal/flight/ | grep -E 'PASS|FAIL|allocates'
 
 echo "== fuzz smoke (wire-protocol decoders, WAL replay and the CSV parser, 3s each)"
-for tgt in FuzzReadUpload FuzzParseFrame FuzzPredictRequest FuzzTraceResult FuzzRoundUpdate FuzzScoresSnapshot FuzzFlightEvents FuzzWALSegment; do
+for tgt in FuzzUploadFrame FuzzParseFrame FuzzPredictRequest FuzzTraceResult FuzzRoundUpdate FuzzScoresSnapshot FuzzWALSegment; do
     go test -run=NONE -fuzz="^${tgt}\$" -fuzztime=3s ./internal/protocol/ | tail -1
 done
 go test -run=NONE -fuzz='^FuzzReplay$' -fuzztime=3s ./internal/store/ | tail -1
