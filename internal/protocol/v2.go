@@ -49,13 +49,12 @@ const Version2 = 2
 // ContentTypeFrame is the HTTP media type of CTFL binary frames.
 const ContentTypeFrame = "application/x-ctfl"
 
-// Exported v2 message types (the v1 activation upload keeps its private
-// constant; it is only ever produced by Upload.Write).
+// Exported v2 message types. The v1 activation upload's type stays the
+// private msgActivationUpload: only Upload.Write produces that frame.
 const (
-	TypeActivationUpload = msgActivationUpload
-	TypePredictRequest   = 2
-	TypePredictResponse  = 3
-	TypeTraceResult      = 4
+	TypePredictRequest  = 2
+	TypePredictResponse = 3
+	TypeTraceResult     = 4
 )
 
 const (

@@ -192,6 +192,9 @@ func BenchmarkServerTrace(b *testing.B) {
 // BenchmarkServerUploadIngest measures /v1/uploads end to end: one op posts
 // the full federation's activation frames. Reposting the model every 64 ops
 // resets accumulated upload state without counting against the measurement.
+// The first upload into a fresh index builds its pattern groups, so one is
+// posted untimed after each reset and before the timer starts: every timed
+// op then appends to existing groups, and allocs/op does not depend on b.N.
 func BenchmarkServerUploadIngest(b *testing.B) {
 	fx := buildFederation(b)
 	s := benchServer(b, fx)
@@ -199,6 +202,17 @@ func BenchmarkServerUploadIngest(b *testing.B) {
 	b.SetBytes(int64(len(fx.frames)))
 	b.ReportAllocs()
 	rd := bytes.NewReader(fx.frames)
+	upload := func() {
+		rd.Reset(fx.frames)
+		req := httptest.NewRequest(http.MethodPost, "/v1/uploads", rd)
+		req.Header.Set("Content-Type", protocol.ContentTypeFrame)
+		w := httptest.NewRecorder()
+		s.ServeHTTP(w, req)
+		if w.Code != http.StatusOK {
+			b.Fatalf("status %d: %s", w.Code, w.Body)
+		}
+	}
+	upload()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if i%64 == 0 && i > 0 {
@@ -208,15 +222,9 @@ func BenchmarkServerUploadIngest(b *testing.B) {
 			if w.Code != http.StatusNoContent {
 				b.Fatalf("model reset: status %d", w.Code)
 			}
+			upload()
 			b.StartTimer()
 		}
-		rd.Reset(fx.frames)
-		req := httptest.NewRequest(http.MethodPost, "/v1/uploads", rd)
-		req.Header.Set("Content-Type", protocol.ContentTypeFrame)
-		w := httptest.NewRecorder()
-		s.ServeHTTP(w, req)
-		if w.Code != http.StatusOK {
-			b.Fatalf("status %d: %s", w.Code, w.Body)
-		}
+		upload()
 	}
 }

@@ -286,8 +286,9 @@ func (s *Server) replicateLocked(evs []store.Event) error {
 
 // handleReplicate is the follower's replication ingress: it validates
 // the segment, checks the cursor, WAL-logs the records locally, and
-// applies them through the same applyEvent path replay uses — so leader
-// and follower state cannot drift apart structurally.
+// prepares and applies each one as boot replay does, through the write
+// path every leader handler commits through — so leader and follower
+// state cannot drift apart structurally.
 func (s *Server) handleReplicate(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		httpError(w, http.StatusMethodNotAllowed, errors.New("POST required"))
@@ -350,7 +351,7 @@ func (s *Server) handleReplicate(w http.ResponseWriter, r *http.Request) {
 			fmt.Sprintf("rebuilding from %d-record restatement", seg.Count), int64(seg.Count))
 	}
 	for _, ev := range evs {
-		if err := s.applyEvent(ev); err != nil {
+		if err := s.st.replay(ev, &s.roundCfg); err != nil {
 			// Leader-validated events cannot fail here unless the streams
 			// diverged. The cursor stays at the applied count, so the
 			// leader's next push resyncs the unapplied suffix.

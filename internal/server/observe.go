@@ -68,11 +68,11 @@ func (s *Server) registerSLOs() {
 	})
 	s.slo.Add(telemetry.SLOConfig{
 		Name:   sloStaleness,
-		Source: &telemetry.GaugeSLOSource{G: s.roundsObs.Staleness, Bound: sloStalenessBound},
+		Source: &telemetry.GaugeSLOSource{G: s.roundCfg.Obs.Staleness, Bound: sloStalenessBound},
 	})
 	s.slo.Add(telemetry.SLOConfig{
 		Name:   sloIngestLag,
-		Source: telemetry.HistogramSLOSource{H: s.roundsObs.UpdateSeconds, Bound: sloIngestBound},
+		Source: telemetry.HistogramSLOSource{H: s.roundCfg.Obs.UpdateSeconds, Bound: sloIngestBound},
 	})
 	// Followers watch their leader through the replication-lag gauge; a
 	// burn-rate breach of this objective is the promotion trigger.
@@ -90,7 +90,7 @@ func (s *Server) sloTickLocked(now time.Time) {
 	// Staleness is a passive gauge; refresh it so the objective samples a
 	// live value.
 	if eng := s.st.rounds; eng != nil {
-		s.roundsObs.Staleness.Set(eng.Staleness().Seconds())
+		s.roundCfg.Obs.Staleness.Set(eng.Staleness().Seconds())
 	}
 	s.lastSLOTick = now
 	for _, tr := range s.slo.Tick(now) {

@@ -21,7 +21,6 @@ package server
 // no cycle with compaction (which walks the engine under s.mu).
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -63,49 +62,6 @@ type ScoresResponse struct {
 	Gated []bool `json:"gated,omitempty"`
 }
 
-// applyRoundEval installs a fresh round-stream engine over the parsed
-// evaluation set. Caller holds the write lock (or exclusive replay access).
-func (s *Server) applyRoundEval(test *dataset.Table, raw []byte) {
-	evalX, evalY := s.st.enc.EncodeTable(test)
-	eng, err := rounds.New(rounds.Config{
-		Model:        s.st.model,
-		EvalX:        evalX,
-		EvalY:        evalY,
-		Epsilon:      s.opts.RoundEpsilon,
-		Permutations: s.opts.RoundPermutations,
-		Seed:         s.opts.RoundSeed,
-		Workers:      s.opts.RoundWorkers,
-		Obs:          s.roundsObs,
-		Gate:         s.opts.RoundGate,
-	})
-	if err != nil {
-		// Construction only fails on an empty eval set or a missing model,
-		// both checked by every caller before persisting.
-		panic(fmt.Sprintf("server: round engine construction: %v", err))
-	}
-	s.st.rounds = eng
-	s.st.evalRaw = raw
-	s.st.version++
-}
-
-// parseRoundEval validates the evaluation-set CSV against the published
-// encoder's schema, mirroring the trace handler's parse.
-func parseRoundEval(enc *dataset.Encoder, body []byte) (*dataset.Table, error) {
-	test, err := dataset.ReadCSV(bytes.NewReader(body), enc.Schema(), dataset.CSVOptions{
-		HasHeader:       true,
-		PositiveLabel:   enc.Schema().Labels[1],
-		TrimSpace:       true,
-		ClampContinuous: true,
-	})
-	if err != nil {
-		return nil, err
-	}
-	if test.Len() == 0 {
-		return nil, errors.New("empty evaluation set")
-	}
-	return test, nil
-}
-
 func (s *Server) handleRounds(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		httpError(w, http.StatusMethodNotAllowed, errors.New("POST required"))
@@ -129,43 +85,15 @@ func (s *Server) handleRounds(w http.ResponseWriter, r *http.Request) {
 // handleRoundEval registers (or replaces) the streaming evaluation set,
 // resetting the score stream.
 func (s *Server) handleRoundEval(w http.ResponseWriter, r *http.Request) {
-	s.mu.RLock()
-	enc, model := s.st.enc, s.st.model
-	s.mu.RUnlock()
-	if enc == nil || model == nil {
-		httpError(w, http.StatusConflict, errors.New("publish encoder and model first"))
-		return
+	var params int
+	cs, ok := s.write(w, r, store.EventRoundEval, func(st *state) { params = st.rounds.ParamCount() })
+	if ok {
+		writeJSON(w, http.StatusOK, map[string]int{
+			"rows":         cs[0].val.(*dataset.Table).Len(),
+			"param_count":  params,
+			"rounds_reset": 1,
+		})
 	}
-	body, err := s.readBody(w, r)
-	if err != nil {
-		httpError(w, maxBytesCode(err, http.StatusBadRequest), err)
-		return
-	}
-	test, err := parseRoundEval(enc, body)
-	if err != nil {
-		httpError(w, http.StatusBadRequest, err)
-		return
-	}
-
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.st.enc != enc || s.st.model != model {
-		// Identity of the encoder and model the eval set was parsed
-		// against is what matters; uploads landing meanwhile are fine.
-		httpError(w, http.StatusConflict, errors.New("federation state changed during registration; resubmit"))
-		return
-	}
-	if err := s.persistLocked(store.Event{Type: store.EventRoundEval, Payload: body}); err != nil {
-		s.unavailable(w, err)
-		return
-	}
-	s.applyRoundEval(test, body)
-	s.maybeCompactLocked()
-	writeJSON(w, http.StatusOK, map[string]int{
-		"rows":         test.Len(),
-		"param_count":  s.st.rounds.ParamCount(),
-		"rounds_reset": 1,
-	})
 }
 
 // handleRoundUpdate scores one round-update frame and commits its outcome.
@@ -193,13 +121,17 @@ func (s *Server) handleRoundUpdate(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
+	// The round is prepared before it is computed: its basis is the engine
+	// Compute runs against, and its payload is the outcome.
 	s.mu.RLock()
-	eng := s.st.rounds
+	st := s.st
 	s.mu.RUnlock()
-	if eng == nil {
-		httpError(w, http.StatusConflict, errors.New("register an evaluation set first (POST /v1/rounds, text/csv)"))
+	cs, err := st.prepare(store.Event{Type: store.EventRound})
+	if err != nil {
+		s.refuse(w, err)
 		return
 	}
+	eng := cs[0].basis.(*rounds.Engine)
 	if u.ParamCount != eng.ParamCount() {
 		httpError(w, http.StatusBadRequest,
 			fmt.Errorf("round update carries %d params, model has %d", u.ParamCount, eng.ParamCount()))
@@ -237,28 +169,16 @@ func (s *Server) handleRoundUpdate(w http.ResponseWriter, r *http.Request) {
 		httpError(w, code, err)
 		return
 	}
-
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.st.rounds != eng {
-		// The engine object is replaced on every re-registration and
-		// republish, so identity alone detects a superseded stream;
-		// concurrent uploads advance the version but keep the engine.
-		roundEvent(flight.OutcomeRejected, out.Round, "federation state changed during round ingest")
-		httpError(w, http.StatusConflict, errors.New("federation state changed during round ingest; resubmit"))
+	cs[0].ev.Payload, cs[0].val = out.Payload(), out
+	if err := s.commit(cs, nil); err != nil {
+		outcome := flight.OutcomeError
+		if err.(*statusError).code == http.StatusConflict {
+			outcome = flight.OutcomeRejected // the engine was replaced meanwhile
+		}
+		roundEvent(outcome, out.Round, "commit: "+err.Error())
+		s.refuse(w, err)
 		return
 	}
-	if err := s.persistLocked(store.Event{Type: store.EventRound, Payload: out.Payload()}); err != nil {
-		roundEvent(flight.OutcomeError, out.Round, "persist: "+err.Error())
-		s.unavailable(w, err)
-		return
-	}
-	if err := eng.Apply(out); err != nil {
-		roundEvent(flight.OutcomeError, out.Round, "apply: "+err.Error())
-		httpError(w, http.StatusInternalServerError, err)
-		return
-	}
-	s.maybeCompactLocked()
 	// Gate transitions this outcome triggered become KindGate flight
 	// events: exclusions as rejections, readmissions as OKs; both carry
 	// the rendered transition so they pin in the tail ring.
@@ -321,7 +241,7 @@ func (s *Server) handleScores(w http.ResponseWriter, r *http.Request) {
 		_ = eng.Wait(ctx, minRound)
 		cancel()
 	}
-	s.roundsObs.Staleness.Set(eng.Staleness().Seconds())
+	s.roundCfg.Obs.Staleness.Set(eng.Staleness().Seconds())
 	snap := eng.Snapshot()
 	if acceptsFrame(r) {
 		frame := protocol.AppendScoresSnapshot(nil, &snap)

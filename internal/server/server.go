@@ -47,7 +47,6 @@
 package server
 
 import (
-	"bytes"
 	"context"
 	"crypto/sha256"
 	"encoding/binary"
@@ -295,10 +294,10 @@ type Server struct {
 	// already counts and times the requests themselves.
 	predictRows *telemetry.Counter
 
-	// roundsObs instruments the streaming valuation engine; registered at
-	// construction so the families are visible to scrapes before any
-	// engine exists.
-	roundsObs *rounds.Obs
+	// roundCfg holds the settings every round engine is built with, its
+	// instruments included: registered at construction so the families
+	// are visible to scrapes before any engine exists.
+	roundCfg rounds.Config
 
 	// Cluster state (see cluster.go): the shard ring, the leader's push
 	// client, and the follower's cursor + promotion flag. following and
@@ -347,7 +346,14 @@ func NewWithOptions(opts Options) (*Server, error) {
 	s.degradedGauge = s.reg.Gauge("ctfl_server_degraded", "1 while WAL writes are rejected (degraded mode)")
 	s.degradedEntered = s.reg.Counter("ctfl_server_degraded_entered_total", "times the server entered degraded mode")
 	s.predictRows = s.reg.Counter("ctfl_predict_rows_total", "feature rows scored by POST /v1/predict")
-	s.roundsObs = rounds.NewObs(s.reg)
+	s.roundCfg = rounds.Config{
+		Epsilon:      opts.RoundEpsilon,
+		Permutations: opts.RoundPermutations,
+		Seed:         opts.RoundSeed,
+		Workers:      opts.RoundWorkers,
+		Obs:          rounds.NewObs(s.reg),
+		Gate:         opts.RoundGate,
+	}
 
 	// Observability tier: always-on flight recorder, process runtime
 	// stats, and the SLO burn-rate engine. Registered before the routes so
@@ -406,7 +412,7 @@ func NewWithOptions(opts Options) (*Server, error) {
 		}
 		s.store = st
 		for i, ev := range events {
-			if err := s.applyEvent(ev); err != nil {
+			if err := s.st.replay(ev, &s.roundCfg); err != nil {
 				// Every event was validated before it was logged, so a bad
 				// one is survivable noise (e.g. an upload for a superseded
 				// model): log and keep replaying.
@@ -476,95 +482,6 @@ func (s *Server) Close(ctx context.Context) error {
 		s.closeErr = errors.Join(drainErr, storeErr)
 	})
 	return s.closeErr
-}
-
-// applyEvent decodes and applies one durable event during replay. It runs
-// the same validation the original handler ran.
-func (s *Server) applyEvent(ev store.Event) error {
-	switch ev.Type {
-	case store.EventEncoder:
-		var enc dataset.Encoder
-		if err := json.Unmarshal(ev.Payload, &enc); err != nil {
-			return err
-		}
-		s.applyEncoder(&enc, ev.Payload)
-		return nil
-	case store.EventModel:
-		m, err := nn.ReadModel(bytes.NewReader(ev.Payload))
-		if err != nil {
-			return err
-		}
-		if s.st.enc == nil {
-			return errors.New("model event before encoder")
-		}
-		if m.InDim() != s.st.enc.Width() {
-			return fmt.Errorf("model width %d, encoder %d", m.InDim(), s.st.enc.Width())
-		}
-		s.applyModel(m, ev.Payload)
-		return nil
-	case store.EventUpload:
-		if s.st.idx == nil {
-			return errors.New("upload event before model")
-		}
-		return s.applyUploadFrame(ev.Payload)
-	case store.EventRoundEval:
-		if s.st.enc == nil || s.st.model == nil {
-			return errors.New("round-eval event before encoder/model")
-		}
-		test, err := parseRoundEval(s.st.enc, ev.Payload)
-		if err != nil {
-			return err
-		}
-		s.applyRoundEval(test, ev.Payload)
-		return nil
-	case store.EventRound:
-		if s.st.rounds == nil {
-			return errors.New("round event before evaluation set")
-		}
-		// Pure score arithmetic: replay never re-evaluates a coalition.
-		return s.st.rounds.ApplyPayload(ev.Payload)
-	case store.EventNop:
-		// Degraded-mode health probes carry no state.
-		return nil
-	default:
-		return fmt.Errorf("unknown event type %d", ev.Type)
-	}
-}
-
-// The apply* mutators assume the write lock is held (or exclusive access
-// during replay). They are the single place state transitions happen, so
-// handler and replay behaviour cannot drift apart.
-
-func (s *Server) applyEncoder(enc *dataset.Encoder, raw []byte) {
-	s.st.enc, s.st.encRaw = enc, raw
-	// A new encoding invalidates any model and uploads tied to the old one.
-	s.st.model, s.st.modelRaw, s.st.rs = nil, nil, nil
-	s.st.idx, s.st.frames = nil, nil
-	s.st.rounds, s.st.evalRaw = nil, nil
-	s.st.version++
-}
-
-func (s *Server) applyModel(m *nn.Model, raw []byte) {
-	s.st.model, s.st.modelRaw = m, raw
-	s.st.rs = rules.Extract(m, s.st.enc)
-	// Uploads reference the previous model's rule space; the round stream
-	// reconstructs coalitions of the previous model's parameters.
-	s.st.idx, s.st.frames = core.NewIndex(s.st.rs), nil
-	s.st.rounds, s.st.evalRaw = nil, nil
-	s.st.version++
-}
-
-// applyUploadFrame decodes an upload frame straight into the tracing index,
-// retaining no decoded bitset, and keeps the raw frame for snapshots — the
-// server never re-encodes what a client sent. It is the one upload path of
-// the handler, WAL replay and follower replication.
-func (s *Server) applyUploadFrame(frame []byte) error {
-	if err := protocol.ExtendIndex(s.st.idx, frame); err != nil {
-		return err
-	}
-	s.st.frames = append(s.st.frames, frame)
-	s.st.version++
-	return nil
 }
 
 // snapshotEventsLocked re-creates current state as a minimal event list:
@@ -819,25 +736,9 @@ func (s *Server) handleEncoder(w http.ResponseWriter, r *http.Request) {
 	if s.injectFault(w, r) {
 		return
 	}
-	raw, err := s.readBody(w, r)
-	if err != nil {
-		httpError(w, maxBytesCode(err, http.StatusBadRequest), err)
-		return
+	if _, ok := s.write(w, r, store.EventEncoder, nil); ok {
+		w.WriteHeader(http.StatusNoContent)
 	}
-	var enc dataset.Encoder
-	if err := json.Unmarshal(raw, &enc); err != nil {
-		httpError(w, http.StatusBadRequest, err)
-		return
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if err := s.persistLocked(store.Event{Type: store.EventEncoder, Payload: raw}); err != nil {
-		s.unavailable(w, err)
-		return
-	}
-	s.applyEncoder(&enc, raw)
-	s.maybeCompactLocked()
-	w.WriteHeader(http.StatusNoContent)
 }
 
 func (s *Server) handleModel(w http.ResponseWriter, r *http.Request) {
@@ -852,34 +753,9 @@ func (s *Server) handleModel(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusUnsupportedMediaType, err)
 		return
 	}
-	raw, err := s.readBody(w, r)
-	if err != nil {
-		httpError(w, maxBytesCode(err, http.StatusBadRequest), err)
-		return
+	if _, ok := s.write(w, r, store.EventModel, nil); ok {
+		w.WriteHeader(http.StatusNoContent)
 	}
-	m, err := nn.ReadModel(bytes.NewReader(raw))
-	if err != nil {
-		httpError(w, http.StatusBadRequest, err)
-		return
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.st.enc == nil {
-		httpError(w, http.StatusConflict, errors.New("publish the encoder first"))
-		return
-	}
-	if m.InDim() != s.st.enc.Width() {
-		httpError(w, http.StatusBadRequest,
-			fmt.Errorf("model input width %d, encoder produces %d", m.InDim(), s.st.enc.Width()))
-		return
-	}
-	if err := s.persistLocked(store.Event{Type: store.EventModel, Payload: raw}); err != nil {
-		s.unavailable(w, err)
-		return
-	}
-	s.applyModel(m, raw)
-	s.maybeCompactLocked()
-	w.WriteHeader(http.StatusNoContent)
 }
 
 func (s *Server) handleUploads(w http.ResponseWriter, r *http.Request) {
@@ -894,75 +770,11 @@ func (s *Server) handleUploads(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusUnsupportedMediaType, err)
 		return
 	}
-	// Snapshot the rule space, then validate the whole batch without
-	// holding any lock.
-	s.mu.RLock()
-	rs := s.st.rs
-	s.mu.RUnlock()
-	if rs == nil {
-		httpError(w, http.StatusConflict, errors.New("publish encoder and model first"))
-		return
+	var records int
+	frames, ok := s.write(w, r, store.EventUpload, func(st *state) { records = st.idx.Len() })
+	if ok {
+		writeJSON(w, http.StatusOK, map[string]int{"frames": len(frames), "records": records})
 	}
-
-	// Zero-copy ingest: read the batch once, CRC + structurally validate
-	// each frame in place (no bitsets, no Upload structs), and persist the
-	// client's own bytes. The frame slices below alias this body buffer —
-	// one allocation backs the whole batch's retained frames.
-	body, err := s.readBody(w, r)
-	if err != nil {
-		httpError(w, maxBytesCode(err, http.StatusBadRequest), err)
-		return
-	}
-	var frames [][]byte
-	for rest := body; len(rest) > 0; {
-		info, err := protocol.ValidateUploadFrame(rest)
-		if err != nil {
-			httpError(w, http.StatusBadRequest, err)
-			return
-		}
-		if info.RuleWidth != rs.Width() {
-			httpError(w, http.StatusBadRequest,
-				fmt.Errorf("upload rule width %d, model has %d", info.RuleWidth, rs.Width()))
-			return
-		}
-		frames = append(frames, rest[:info.FrameLen:info.FrameLen])
-		rest = rest[info.FrameLen:]
-	}
-
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.st.rs != rs {
-		// Encoder/model were republished while we decoded; these frames
-		// belong to a superseded rule space. The guard is the rule-space
-		// object itself (apply* replaces it wholesale, never mutates), so
-		// concurrent uploads — which advance the version but keep the rule
-		// space — commit without spurious conflicts.
-		httpError(w, http.StatusConflict, errors.New("federation state changed during upload; resubmit"))
-		return
-	}
-	// Persist the whole batch atomically, then apply: a failed persist leaves
-	// no partial prefix in the WAL or in memory, so a client retry of the
-	// same batch cannot double-apply frames. The WAL payloads are the exact
-	// bytes the client sent — replay revalidates and decodes them the same
-	// way this request just did.
-	evs := make([]store.Event, len(frames))
-	for i, f := range frames {
-		evs[i] = store.Event{Type: store.EventUpload, Payload: f}
-	}
-	if err := s.persistLocked(evs...); err != nil {
-		s.unavailable(w, err)
-		return
-	}
-	for _, f := range frames {
-		// Validation above makes a decode failure impossible; treat one as
-		// the internal error it would be.
-		if err := s.applyUploadFrame(f); err != nil {
-			httpError(w, http.StatusInternalServerError, err)
-			return
-		}
-	}
-	s.maybeCompactLocked()
-	writeJSON(w, http.StatusOK, map[string]int{"frames": len(frames), "records": s.st.idx.Len()})
 }
 
 // TraceResponse is the result of a completed trace job. It is the

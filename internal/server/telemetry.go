@@ -168,7 +168,7 @@ func (s *Server) refreshGauges() {
 	eng := s.st.rounds
 	s.mu.RUnlock()
 	if eng != nil {
-		s.roundsObs.Staleness.Set(eng.Staleness().Seconds())
+		s.roundCfg.Obs.Staleness.Set(eng.Staleness().Seconds())
 	}
 	s.runtime.Collect()
 }

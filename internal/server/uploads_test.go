@@ -72,7 +72,9 @@ func TestTraceFollowsUploadedPrefix(t *testing.T) {
 		t.Fatal(err)
 	}
 	rs := rules.Extract(m, &enc)
-	test, err := parseRoundEval(&enc, fx.testCSV)
+	test, err := dataset.ReadCSV(bytes.NewReader(fx.testCSV), enc.Schema(), dataset.CSVOptions{
+		HasHeader: true, PositiveLabel: enc.Schema().Labels[1], TrimSpace: true, ClampContinuous: true,
+	})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,13 +6,15 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-# `check.sh chaos` runs only the fault-injection soak: the full stack under
-# -race with deterministic faults at every site (WAL, compaction, snapshot
-# rename, job errors + panics, HTTP handlers, client requests), asserting
-# the traced factors stay bit-identical to a fault-free run.
+# `check.sh chaos` runs only the two chaos tests, both under -race: the
+# fault-injection soak (deterministic faults at every site: WAL, compaction,
+# snapshot rename, job errors + panics, HTTP handlers, client requests),
+# asserting the traced factors stay bit-identical to a fault-free run, and
+# the cluster failover (a leader killed mid-stream, the follower promoted),
+# asserting the scores stay bit-identical with no acknowledged round lost.
 if [[ "${1:-}" == "chaos" ]]; then
-    echo "== chaos soak (-race, deterministic fault injection, fixed seed)"
-    go test -race -run 'TestChaosSoak' -count=1 -v ./internal/server/
+    echo "== chaos (-race: fault-injection soak, leader failover)"
+    go test -race -run 'TestChaosSoak|TestChaosLeaderFailover' -count=1 -v ./internal/server/
     exit 0
 fi
 
