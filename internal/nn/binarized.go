@@ -2,6 +2,7 @@ package nn
 
 import (
 	"fmt"
+	"math"
 	"math/bits"
 	"sync"
 
@@ -11,15 +12,15 @@ import (
 // Binarized is a compiled snapshot of the deployed (binarized) model: each
 // logical node keeps only the input indices its weight selects (w > 0.5), so
 // evaluation touches the selected inputs alone instead of scanning every
-// weight of every node. It is the package's only discrete evaluator, in
-// two forms over one compiled selection. ActivationBits evaluates a batch
-// of {0,1} rows held as bit columns and yields the rule-activation bitsets
-// the tracer consumes. The per-row float eval serves what is real-valued
-// or scored row by row: /v1/predict, the model's batch entry points
-// (Accuracy, CountCorrect, PredictBatch, each of which compiles a pooled
-// snapshot per call), grafted training (one Model-owned snapshot
-// recompiled per batch) and streaming valuation (one pooled snapshot per
-// coalition, filled by a Patch).
+// weight of every node. It is the package's one evaluator. Every consumer
+// packs its {0,1} rows into bit columns (packRow, 64 rows to a block),
+// evaluates each block's node columns with evalBits and scores the block's
+// rows with head, serially: ActivationBits for the tracer, ScoreBatchFloat32
+// for /v1/predict, the model's batch entry points (Accuracy, CountCorrect,
+// PredictBatch, each of which compiles a pooled snapshot per call), grafted
+// training (one Model-owned snapshot recompiled per batch) and streaming
+// valuation (CountCorrect on an evaluation set packed once, one pooled
+// snapshot per coalition, filled by a Patch).
 //
 // The snapshot is immutable once compiled: training the model further does
 // not update it. Build it once after training (rule extraction does this)
@@ -33,13 +34,10 @@ type Binarized struct {
 	layers []*logicalLayer
 	// slab concatenates every node's selected input indices in rule-vector
 	// order; sel[n] is node n's view of it.
-	slab    []int32
-	sel     [][]int32
-	headW   []float64
-	headB   float64
-	workers int
-
-	bufs sync.Pool // *fwdBuffers
+	slab  []int32
+	sel   [][]int32
+	headW []float64
+	headB float64
 }
 
 // Binarize compiles the model's current binarized structure. The returned
@@ -56,7 +54,6 @@ func (m *Model) Binarize() *Binarized {
 // compared with the 0.5 binarization threshold.
 func (b *Binarized) compile(m *Model) {
 	b.inDim, b.ruleDim, b.layers = m.inDim, m.ruleDim, m.layers
-	b.workers = m.workerCount()
 	b.headW = append(b.headW[:0], m.headW...)
 	b.headB = m.HeadBias()
 	if b.sel == nil {
@@ -89,86 +86,11 @@ func (b *Binarized) compile(m *Model) {
 // InDim returns the expected input width.
 func (b *Binarized) InDim() int { return b.inDim }
 
-func (b *Binarized) getBuf() *fwdBuffers {
-	if buf, ok := b.bufs.Get().(*fwdBuffers); ok {
-		return buf
-	}
-	return newBuffers(b.ruleDim, b.layers)
-}
-
-// eval computes the deployed model's pre-threshold score for x and fills
-// buf.rules with every logical node's output. A conjunction multiplies its
-// selected inputs and stops at the first zero; a disjunction fires on any
-// positive selected input; the head adds w·r over every rule. On {0,1}
-// inputs, which is all the predicate encoder emits, every node output is
-// {0,1} as well.
-func (b *Binarized) eval(x []float64, buf *fwdBuffers) float64 {
-	if len(x) != b.inDim {
-		panic(fmt.Sprintf("nn: input width %d, want %d", len(x), b.inDim))
-	}
-	in := x
-	ri := 0
-	for k, l := range b.layers {
-		if k > 0 {
-			// Skip connection: layer k sees x followed by layer k-1's outputs.
-			in = buf.layerIn[k]
-			copy(in, x)
-			copy(in[b.inDim:], buf.rules[ri-b.layers[k-1].size():ri])
-		}
-		// Rule index ri is also the node index. Each layer lists its
-		// conjunctions first; one loop per kind keeps the kind test out of
-		// the node loop.
-		out := buf.rules[ri : ri+l.size()]
-		sel := b.sel[ri : ri+l.size()]
-		conj, disj := out[:l.numConj], out[l.numConj:]
-		for n, idx := range sel[:l.numConj] {
-			v := 1.0
-			for _, i := range idx {
-				v *= in[i]
-				if v == 0 {
-					v = 0 // +0 even when a negative input made it -0
-					break
-				}
-			}
-			conj[n] = v
-		}
-		for n, idx := range sel[l.numConj:] {
-			v := 0.0
-			for _, i := range idx {
-				if in[i] > 0 {
-					v = 1
-					break
-				}
-			}
-			disj[n] = v
-		}
-		ri += l.size()
-	}
-	s := b.headB
-	headW := b.headW[:len(buf.rules)]
-	for j, r := range buf.rules {
-		s += headW[j] * r
-	}
-	return s
-}
-
-// Score returns the deployed model's pre-threshold score for x: a positive
-// score means the positive class wins the rule vote of Eq. 3.
-func (b *Binarized) Score(x []float64) float64 {
-	buf := b.getBuf()
-	s := b.eval(x, buf)
-	b.bufs.Put(buf)
-	return s
-}
-
 // ActivationBits evaluates the snapshot over n rows of {0,1} inputs held
 // as bit columns in x, in dataset.Columns' layout: word b*InDim()+i holds
 // input i of rows 64b … 64b+63, row r at bit r%64, and bits past row n are
 // zero. It returns each row's rule activations, every bitset carved from
-// one slab, and each row's pre-threshold score from eval's own ascending
-// s += w_j·r_j loop with r_j ∈ {0,1}: bit-identical to Score on the row's
-// {0,1} vector, −0 included, with ±Inf and NaN exactly where Score gives
-// them (which NaN payload an addition keeps is the compiler's choice).
+// one slab, and each row's pre-threshold score from head.
 func (b *Binarized) ActivationBits(x []uint64, n int) (acts []bitset.Set, scores []float64) {
 	blocks := (n + 63) / 64
 	if len(x) < blocks*b.inDim {
@@ -177,29 +99,62 @@ func (b *Binarized) ActivationBits(x []uint64, n int) (acts []bitset.Set, scores
 	acts = bitset.MakeSlab(n, b.ruleDim)
 	scores = make([]float64, n)
 	out := make([]uint64, b.ruleDim)
-	var s [64]float64
-	for blk := 0; blk < blocks; blk++ {
-		rows := min(64, n-64*blk)
-		b.evalBits(x[blk*b.inDim:(blk+1)*b.inDim], out, ^uint64(0)>>(64-rows))
-		for t := range s[:rows] {
-			s[t] = b.headB
-		}
-		// Transpose rule j's column into the rows it fires on, and add its
-		// head weight to every row of the block, fired or not, exactly as
-		// eval adds w_j·0.
-		base := acts[64*blk : 64*blk+rows]
+	for lo := 0; lo < n; lo += 64 {
+		s := scores[lo:min(lo+64, n)]
+		b.scoreBlock(x[lo/64*b.inDim:], out, s)
+		// Transpose rule j's column into the rows it fires on.
+		base := acts[lo : lo+len(s)]
 		for j, w := range out {
-			hw := b.headW[j]
-			for t := range s[:rows] {
-				s[t] += hw * float64(w>>t&1)
-			}
 			for m := w; m != 0; m &= m - 1 {
 				base[bits.TrailingZeros64(m)].Set(j)
 			}
 		}
-		copy(scores[64*blk:], s[:rows])
 	}
 	return acts, scores
+}
+
+// CountCorrect returns how many of the len(ys) rows packed in x, in
+// ActivationBits' layout, the snapshot labels as ys. out is scratch for one
+// block's rule columns and must hold at least as many words as the model
+// has rules. It is serial and allocates nothing: the streaming valuation
+// engine scores every coalition with it, over an evaluation set it packed
+// once, and its concurrency lives above the snapshot.
+func (b *Binarized) CountCorrect(x []uint64, ys []int, out []uint64) int {
+	var s [64]float64
+	ok := 0
+	for lo := 0; lo < len(ys); lo += 64 {
+		blk := s[:min(64, len(ys)-lo)]
+		b.scoreBlock(x[lo/64*b.inDim:], out, blk)
+		ok += correct(blk, ys[lo:])
+	}
+	return ok
+}
+
+// correct returns how many of scores label their row as ys does.
+func correct(scores []float64, ys []int) int {
+	ok := 0
+	for t, s := range scores {
+		if label(s) == ys[t] {
+			ok++
+		}
+	}
+	return ok
+}
+
+// label is the class a score votes for: positive at 0 or more.
+func label(s float64) int {
+	if s >= 0 {
+		return 1
+	}
+	return 0
+}
+
+// scoreBlock evaluates one block of len(s) ≤ 64 rows: xw starts with the
+// block's InDim() input words, out receives its rule columns and s its
+// scores.
+func (b *Binarized) scoreBlock(xw, out []uint64, s []float64) {
+	b.evalBits(xw[:b.inDim], out[:b.ruleDim], ^uint64(0)>>(64-len(s)))
+	b.head(out[:b.ruleDim], s)
 }
 
 // evalBits computes every logical node's output column over one block of
@@ -241,15 +196,33 @@ func (b *Binarized) evalBits(xw, out []uint64, live uint64) {
 	}
 }
 
+// head sets s[t] to the pre-threshold score of the block's row t from the
+// block's rule columns out: from the bias, the ascending s += w_j·r_j over
+// every rule j with r_j ∈ {0,1}, adding w_j·0 for a rule that does not
+// fire. That is the deployed model's Eq. 3 vote term for term, so a score
+// is −0, ±Inf or NaN exactly where the head's arithmetic makes it one.
+// Every binarized score the package computes comes from this loop.
+func (b *Binarized) head(out []uint64, s []float64) {
+	for t := range s {
+		s[t] = b.headB
+	}
+	for j, w := range out {
+		hw := b.headW[j]
+		for t := range s {
+			s[t] += hw * float64(w>>(t&63)&1) // t < 64; the mask spares a shift check
+		}
+	}
+}
+
 // ScoreBatchFloat32 scores n = len(rows)/InDim() feature rows, packed
 // row-major as float32 wire values, writing the pre-threshold scores into
-// dst[:n]. This is the /v1/predict hot path: rows convert into pooled
-// scratch and evaluation reuses the same pooled buffers as Score, so the
-// steady state allocates nothing (pinned by
-// TestBinarizedScoreBatchZeroAlloc). It panics if len(rows) is not a
-// multiple of the input width or dst is too short — callers validate the
-// wire payload first.
-func (b *Binarized) ScoreBatchFloat32(rows []float32, dst []float64) {
+// dst[:n]. This is the /v1/predict hot path: it packs the rows into pooled
+// bit columns as it scores them, so the steady state allocates nothing
+// (pinned by TestBinarizedScoreBatchZeroAlloc). It returns an error for a
+// value other than 0 or 1, the only values the encoder emits, leaving dst
+// partly written. It panics if len(rows) is not a multiple of the input
+// width or dst is too short.
+func (b *Binarized) ScoreBatchFloat32(rows []float32, dst []float64) error {
 	if len(rows)%b.inDim != 0 {
 		panic(fmt.Sprintf("nn: %d feature values do not divide into width-%d rows", len(rows), b.inDim))
 	}
@@ -257,86 +230,86 @@ func (b *Binarized) ScoreBatchFloat32(rows []float32, dst []float64) {
 	if len(dst) < n {
 		panic(fmt.Sprintf("nn: score buffer %d, want %d", len(dst), n))
 	}
-	if n == 0 {
-		return
-	}
-	// The single-worker case skips parallelOver: passing it a closure heap-
-	// allocates the capture, and this path's whole point is allocating
-	// nothing.
-	if b.workers <= 1 || n == 1 {
-		buf := b.getBuf()
-		b.scoreRangeFloat32(rows, dst, 0, n, buf)
-		b.bufs.Put(buf)
-		return
-	}
-	b.parallelOver(n, func(lo, hi int, buf *fwdBuffers) {
-		b.scoreRangeFloat32(rows, dst, lo, hi, buf)
-	})
+	sc := scratchPool.Get().(*scratch).size(b)
+	defer scratchPool.Put(sc)
+	return scoreRows(b, sc, n, func(i int) []float32 { return rows[i*b.inDim : (i+1)*b.inDim] }, dst)
 }
 
-func (b *Binarized) scoreRangeFloat32(rows []float32, dst []float64, lo, hi int, buf *fwdBuffers) {
-	// eval reads layer 0's input straight from x, so that slot is free to
-	// hold the converted row.
-	x := buf.layerIn[0]
-	for i := lo; i < hi; i++ {
-		for j, v := range rows[i*b.inDim : (i+1)*b.inDim] {
-			x[j] = float64(v)
-		}
-		dst[i] = b.eval(x, buf)
+// scratch is one serial scoring pass's working set: one block's packed
+// input words and its rule columns.
+type scratch struct{ x, out []uint64 }
+
+// scratchPool recycles scratch across calls and models.
+var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
+
+// size grows sc to b's input and rule widths and returns it.
+func (sc *scratch) size(b *Binarized) *scratch {
+	if cap(sc.x) < b.inDim {
+		sc.x = make([]uint64, b.inDim)
 	}
+	if cap(sc.out) < b.ruleDim {
+		sc.out = make([]uint64, b.ruleDim)
+	}
+	sc.x, sc.out = sc.x[:b.inDim], sc.out[:b.ruleDim]
+	return sc
 }
 
-// countCorrect returns how many rows of xs the snapshot labels as ys.
-func (b *Binarized) countCorrect(xs [][]float64, ys []int, buf *fwdBuffers) int {
-	ok := 0
-	for i, x := range xs {
-		p := 0
-		if b.eval(x, buf) >= 0 {
-			p = 1
+// scoreRows writes the scores of n rows, row(i) giving row i, into dst[:n],
+// serially on b: it packs one block of up to 64 rows at a time into sc.x
+// and scores the block with scoreBlock. It stops at the first row packRow
+// refuses, with packRow's error.
+func scoreRows[T float32 | float64](b *Binarized, sc *scratch, n int, row func(int) []T, dst []float64) error {
+	for lo := 0; lo < n; lo += 64 {
+		blk := dst[lo:min(lo+64, n)]
+		clear(sc.x)
+		for r := lo; r < lo+len(blk); r++ {
+			if err := packRow(sc.x, row(r), r); err != nil {
+				return err
+			}
 		}
-		if p == ys[i] {
-			ok++
-		}
+		b.scoreBlock(sc.x, sc.out, blk)
 	}
-	return ok
+	return nil
 }
 
-// parallelOver splits n items across the snapshot's workers, giving each
-// worker pooled buffers, and calls fn with the worker's half-open range.
-func (b *Binarized) parallelOver(n int, fn func(lo, hi int, buf *fwdBuffers)) {
-	if n == 0 {
-		return
-	}
-	workers := b.workers
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		buf := b.getBuf()
-		fn(0, n, buf)
-		b.bufs.Put(buf)
-		return
-	}
-	var wg sync.WaitGroup
-	chunk := (n + workers - 1) / workers
-	for wkr := 0; wkr < workers; wkr++ {
-		lo := wkr * chunk
-		hi := lo + chunk
-		if hi > n {
-			hi = n
+// PackRows packs {0,1} rows of the given width into ActivationBits' layout
+// (dataset.Columns' word layout), for an evaluation set scored many times.
+// It returns packRow's error for the first row it refuses.
+func PackRows(xs [][]float64, width int) ([]uint64, error) {
+	words := make([]uint64, (len(xs)+63)/64*width)
+	for r, x := range xs {
+		if err := packRow(words[r/64*width:(r/64+1)*width], x, r); err != nil {
+			return nil, err
 		}
-		if lo >= hi {
-			continue
-		}
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			buf := b.getBuf()
-			fn(lo, hi, buf)
-			b.bufs.Put(buf)
-		}(lo, hi)
 	}
-	wg.Wait()
+	return words, nil
+}
+
+// packRow sets bit r%64 of blk[i] to the value of row r's input i, for every
+// input. It returns an error for a row whose width is not len(blk) and for
+// a value other than 0 or 1 (−0 counts as 0). It takes no branch on a
+// value: the rows are about a third ones, so a branch per value mispredicts
+// often enough to cost more than the evaluation. bit is 1.0's lowest
+// exponent bit, and bit − v is +0 only when v is bit.
+func packRow[T float32 | float64](blk []uint64, row []T, r int) error {
+	if len(row) != len(blk) {
+		return fmt.Errorf("row %d has width %d, want %d", r, len(row), len(blk))
+	}
+	t := uint(r % 64)
+	var bad uint64
+	for i, v := range row {
+		bit := math.Float64bits(float64(v)) >> 52 & 1
+		blk[i] |= bit << t
+		bad |= math.Float64bits(float64(int64(bit)) - float64(v))
+	}
+	if bad != 0 {
+		for i, v := range row {
+			if v != 0 && v != 1 {
+				return fmt.Errorf("feature value %g at offset %d: inputs must be the encoder's {0,1} predicates", v, r*len(row)+i)
+			}
+		}
+	}
+	return nil
 }
 
 // RuleSpec describes one logical node of the deployed model for the rule

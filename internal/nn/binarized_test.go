@@ -8,16 +8,16 @@ import (
 	"testing/quick"
 )
 
-// TestPropertyBinarizedMatchesForward proves the compiled float evaluator
-// is bit-identical to the uncompiled discrete forward pass (refForward):
-// same scores, same rule-activation vectors and the same labels through
-// the model's batch entry points, across random architectures, random
-// (trained) weights, and both {0,1} and real-valued inputs.
+// TestPropertyBinarizedMatchesForward proves the model's batch entry points
+// and ScoreBatchFloat32 agree with the uncompiled discrete forward pass
+// (refForward): the same scores bit for bit and the same labels, across
+// random architectures, random (trained) weights, worker counts and batch
+// sizes on both sides of a 64-row block.
 func TestPropertyBinarizedMatchesForward(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
 		dim := 4 + r.Intn(12)
-		xs, ys := goldenData(40+r.Intn(40), dim, r.Int63())
+		xs, ys := goldenData(40+r.Intn(100), dim, r.Int63())
 		cfg := Config{
 			Hidden:    []int{4 + 2*r.Intn(4)},
 			Epochs:    1 + r.Intn(2),
@@ -34,34 +34,19 @@ func TestPropertyBinarizedMatchesForward(t *testing.T) {
 			panic(err)
 		}
 		m.TrainEpochs(xs, ys, m.cfg.Epochs)
-		// Real-valued rows, negative and above 1 included, with exact zeros
-		// mixed in so conjunctions still take their early exit.
-		for i := 0; i < 20; i++ {
-			x := make([]float64, dim)
-			for j := range x {
-				if r.Intn(4) != 0 {
-					x[j] = 3*r.Float64() - 1
-				}
-			}
-			xs = append(xs, x)
-			ys = append(ys, r.Intn(2))
-		}
 		b := m.Binarize()
 		same := func(x, y float64) bool { return math.Float64bits(x) == math.Float64bits(y) }
 
 		pred := m.PredictBatch(xs)
-		buf := b.getBuf()
-		defer b.bufs.Put(buf)
+		scores := make([]float64, len(xs))
+		if err := b.ScoreBatchFloat32(wireRows(xs), scores); err != nil {
+			panic(err)
+		}
 		correct := 0
 		for i, x := range xs {
-			want, wantActs := refForward(m, x, true)
-			if !same(b.eval(x, buf), want) || !same(b.Score(x), want) {
+			want, _ := refForward(m, x, true)
+			if !same(scores[i], want) {
 				return false
-			}
-			for j := range wantActs {
-				if !same(buf.rules[j], wantActs[j]) {
-					return false
-				}
 			}
 			label := 0
 			if want >= 0 {
@@ -82,6 +67,16 @@ func TestPropertyBinarizedMatchesForward(t *testing.T) {
 	}
 }
 
+// scoreAll scores xs with b through ScoreBatchFloat32.
+func scoreAll(t *testing.T, b *Binarized, xs [][]float64) []float64 {
+	t.Helper()
+	scores := make([]float64, len(xs))
+	if err := b.ScoreBatchFloat32(wireRows(xs), scores); err != nil {
+		t.Fatal(err)
+	}
+	return scores
+}
+
 // TestBinarizedSnapshot pins the snapshot semantics: training the model
 // after Binarize must not change the compiled evaluator's outputs.
 func TestBinarizedSnapshot(t *testing.T) {
@@ -92,13 +87,10 @@ func TestBinarizedSnapshot(t *testing.T) {
 	}
 	m.TrainEpochs(xs, ys, m.cfg.Epochs)
 	b := m.Binarize()
-	before := make([]float64, len(xs))
-	for i, x := range xs {
-		before[i] = b.Score(x)
-	}
+	before := scoreAll(t, b, xs)
 	m.TrainEpochs(xs, ys, m.cfg.Epochs) // keep training the model
-	for i, x := range xs {
-		if b.Score(x) != before[i] {
+	for i, s := range scoreAll(t, b, xs) {
+		if s != before[i] {
 			t.Fatalf("snapshot drifted at row %d", i)
 		}
 	}
@@ -119,14 +111,9 @@ func TestSharedModelInferenceConcurrent(t *testing.T) {
 	wantAcc, wantOK, wantPred := m.Accuracy(xs, ys), m.CountCorrect(xs, ys), m.PredictBatch(xs)
 	wantScores := make([]float64, len(xs))
 	for i, x := range xs {
-		wantScores[i] = b.Score(x)
+		wantScores[i], _ = refForward(m, x, true)
 	}
-	rows := make([]float32, 0, len(xs)*16)
-	for _, x := range xs {
-		for _, v := range x {
-			rows = append(rows, float32(v))
-		}
-	}
+	rows := wireRows(xs)
 
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
@@ -149,9 +136,11 @@ func TestSharedModelInferenceConcurrent(t *testing.T) {
 					continue
 				}
 				dst := make([]float64, len(xs))
-				b.ScoreBatchFloat32(rows, dst)
+				if err := b.ScoreBatchFloat32(rows, dst); err != nil {
+					t.Error(err)
+				}
 				for i, s := range dst {
-					if s != wantScores[i] || b.Score(xs[i]) != wantScores[i] {
+					if s != wantScores[i] {
 						t.Errorf("snapshot score row %d = %v, serial %v", i, s, wantScores[i])
 					}
 				}

@@ -122,45 +122,39 @@ func TestPredictNegativeBranch(t *testing.T) {
 	}
 }
 
-func TestParallelOverSingleWorkerAndEmpty(t *testing.T) {
-	m, err := New(2, Config{Hidden: []int{4}, Workers: 1, Seed: 1})
+func TestPredictBatchSmallAndEmpty(t *testing.T) {
+	m, err := New(2, Config{Hidden: []int{4}, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Workers=1 exercises the serial fast path.
 	xs := [][]float64{{1, 0}, {0, 1}, {1, 1}}
-	if got := m.PredictBatch(xs); len(got) != 3 {
+	got := m.PredictBatch(xs)
+	if len(got) != 3 {
 		t.Fatalf("PredictBatch = %v", got)
 	}
-	// Empty input must not call fn at all.
+	for i, x := range xs {
+		if s, _ := refForward(m, x, true); got[i] != label(s) {
+			t.Fatalf("row %d labeled %d, score %v", i, got[i], s)
+		}
+	}
 	if got := m.PredictBatch(nil); len(got) != 0 {
 		t.Fatalf("empty PredictBatch = %v", got)
 	}
-	// Many workers over few items exercises the worker > n clamp.
-	m2, err := New(2, Config{Hidden: []int{4}, Workers: 16, Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := m2.PredictBatch(xs[:2]); len(got) != 2 {
-		t.Fatalf("clamped PredictBatch = %v", got)
-	}
 }
 
-func TestActivationBitsMatchScore(t *testing.T) {
+func TestActivationBitsMatchForwardOnXOR(t *testing.T) {
 	m, err := New(4, Config{Hidden: []int{8}, Seed: 13})
 	if err != nil {
 		t.Fatal(err)
 	}
 	b := m.Binarize()
 	acts, scores := b.ActivationBits(packBits(xorXS), len(xorXS))
-	buf := b.getBuf()
-	defer b.bufs.Put(buf)
 	for i, x := range xorXS {
-		if scores[i] != b.Score(x) {
-			t.Fatalf("row %d column score %v vs single %v", i, scores[i], b.Score(x))
+		want, rules := refForward(m, x, true)
+		if scores[i] != want {
+			t.Fatalf("row %d column score %v vs reference %v", i, scores[i], want)
 		}
-		b.eval(x, buf)
-		for j, r := range buf.rules {
+		for j, r := range rules {
 			if bitFloat(acts[i].Test(j)) != r {
 				t.Fatalf("row %d activation %d mismatch", i, j)
 			}

@@ -29,7 +29,6 @@ import (
 	"fmt"
 	"math/rand"
 	"sync"
-	"sync/atomic"
 )
 
 // Config controls model shape and training.
@@ -145,8 +144,12 @@ type Model struct {
 	opt *adamState
 
 	// graft is grafted training's discrete evaluator, recompiled at the start
-	// of every batch (weights are fixed within one) with its storage reused.
-	graft Binarized
+	// of every batch (weights are fixed within one) with its storage reused;
+	// graftScores holds its scores of the batch's rows, which graftScratch
+	// packs.
+	graft        Binarized
+	graftScores  []float64
+	graftScratch scratch
 	// snaps pools the evaluators that Accuracy, CountCorrect and PredictBatch
 	// compile per call.
 	snaps sync.Pool // *Binarized
@@ -226,10 +229,11 @@ func (m *Model) HeadWeights() []float64 { return m.headW }
 // HeadBias returns the linear head bias.
 func (m *Model) HeadBias() float64 { return m.flat[len(m.flat)-1] }
 
-// fwdBuffers holds one row's forward activations, reused across calls.
-// rules holds every logical layer's outputs back to back, so layer k's
-// outputs are a sub-slice of it. layerIn[k] is layer k's input vector (x
-// concatenated with layer k-1's outputs); layer 0 reads x directly.
+// fwdBuffers holds one row's continuous forward activations for training,
+// reused across calls. rules holds every logical layer's outputs back to
+// back, so layer k's outputs are a sub-slice of it. layerIn[k] is layer k's
+// input vector (x concatenated with layer k-1's outputs); layer 0 reads x
+// directly. backprop reads both.
 type fwdBuffers struct {
 	layerIn [][]float64
 	rules   []float64
@@ -255,44 +259,42 @@ func (m *Model) snapshot() *Binarized {
 	return b
 }
 
-// PredictBatch labels every row of xs with the deployed model, using
-// parallel workers.
+// scores returns the deployed model's score of every row of xs, computed
+// serially on a pooled snapshot. The rows are encoder output, so a row of
+// another width or a value other than 0 or 1 is a caller bug: it panics on
+// one rather than mis-score it.
+func (m *Model) scores(xs [][]float64) []float64 {
+	b := m.snapshot()
+	sc := scratchPool.Get().(*scratch).size(b)
+	scores := make([]float64, len(xs))
+	err := scoreRows(b, sc, len(xs), func(i int) []float64 { return xs[i] }, scores)
+	scratchPool.Put(sc)
+	m.snaps.Put(b)
+	if err != nil {
+		panic("nn: " + err.Error())
+	}
+	return scores
+}
+
+// PredictBatch labels every row of xs with the deployed model.
 func (m *Model) PredictBatch(xs [][]float64) []int {
 	out := make([]int, len(xs))
-	b := m.snapshot()
-	b.parallelOver(len(xs), func(lo, hi int, buf *fwdBuffers) {
-		for i := lo; i < hi; i++ {
-			if b.eval(xs[i], buf) >= 0 {
-				out[i] = 1
-			}
-		}
-	})
-	m.snaps.Put(b)
+	for i, s := range m.scores(xs) {
+		out[i] = label(s)
+	}
 	return out
 }
 
-// Accuracy returns the deployed model's accuracy on (xs, ys), using
-// parallel workers. The integer hit counts are order-independent, so the
-// result is identical at any worker count.
+// Accuracy returns the deployed model's accuracy on (xs, ys).
 func (m *Model) Accuracy(xs [][]float64, ys []int) float64 {
 	if len(xs) == 0 {
 		return 0
 	}
-	b := m.snapshot()
-	var ok atomic.Int64
-	b.parallelOver(len(xs), func(lo, hi int, buf *fwdBuffers) {
-		ok.Add(int64(b.countCorrect(xs[lo:hi], ys[lo:hi], buf)))
-	})
-	m.snaps.Put(b)
-	return float64(ok.Load()) / float64(len(xs))
+	return float64(m.CountCorrect(xs, ys)) / float64(len(xs))
 }
 
 // CountCorrect returns how many rows of xs the deployed model labels as
-// ys: Binarized.CountCorrect on a pooled snapshot, serial and
-// allocation-free in steady state.
+// ys.
 func (m *Model) CountCorrect(xs [][]float64, ys []int) int {
-	b := m.snapshot()
-	ok := b.CountCorrect(xs, ys)
-	m.snaps.Put(b)
-	return ok
+	return correct(m.scores(xs), ys)
 }

@@ -126,9 +126,8 @@ func TestPredictConsistency(t *testing.T) {
 		{0, 0, 0, 0, 0, 0},
 	}
 	batch := m.PredictBatch(xs)
-	b := m.Binarize()
 	for i, x := range xs {
-		score := b.Score(x)
+		score, _ := refForward(m, x, true)
 		want := 0
 		if score >= 0 {
 			want = 1
@@ -218,7 +217,7 @@ func TestGradientCheck(t *testing.T) {
 	y := 1
 
 	gb := m.newGradBuffers()
-	m.backprop(x, y, false, gb)
+	m.backprop(x, y, nil, 0, gb)
 	analytic := gb.grad
 
 	loss := func(params []float64) float64 {
@@ -264,7 +263,7 @@ func TestGradientCheckTwoLayers(t *testing.T) {
 	y := 0
 
 	gb := m.newGradBuffers()
-	m.backprop(x, y, false, gb)
+	m.backprop(x, y, nil, 0, gb)
 	analytic := append([]float64(nil), gb.grad...)
 
 	loss := func(params []float64) float64 {
@@ -423,25 +422,6 @@ func TestWorkersConfigRespected(t *testing.T) {
 	}
 }
 
-// BenchmarkForwardDiscrete times one row through the compiled evaluator.
-func BenchmarkForwardDiscrete(b *testing.B) {
-	m, _ := New(120, Config{Hidden: []int{128}, Seed: 1})
-	x := make([]float64, 120)
-	for i := range x {
-		if i%3 == 0 {
-			x[i] = 1
-		}
-	}
-	bin := m.Binarize()
-	buf := bin.getBuf()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		scoreSink = bin.eval(x, buf)
-	}
-}
-
-var scoreSink float64
-
 func BenchmarkBackprop(b *testing.B) {
 	m, _ := New(120, Config{Hidden: []int{128}, Seed: 1})
 	x := make([]float64, 120)
@@ -451,8 +431,9 @@ func BenchmarkBackprop(b *testing.B) {
 		}
 	}
 	gb := m.newGradBuffers()
+	graft := []float64{0.25} // a grafted score: the loss derivative is taken there
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		m.backprop(x, 1, true, gb)
+		m.backprop(x, 1, graft, 0, gb)
 	}
 }

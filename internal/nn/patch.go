@@ -93,7 +93,6 @@ func (m *Model) NewPatch(side func(j int) Side) *Patch {
 	p := new(Patch)
 	b := &p.base
 	b.inDim, b.ruleDim, b.layers = m.inDim, m.ruleDim, m.layers
-	b.workers = m.workerCount()
 	b.sel = make([][]int32, m.ruleDim)
 	ni := 0
 	for _, l := range m.layers {
@@ -133,7 +132,7 @@ func (m *Model) NewPatch(side func(j int) Side) *Patch {
 // patch's selections of every node Fill leaves as they are.
 func (p *Patch) Fill(dst *Binarized, selected []bool, tail []float64) {
 	b := &p.base
-	dst.inDim, dst.ruleDim, dst.layers, dst.workers = b.inDim, b.ruleDim, b.layers, b.workers
+	dst.inDim, dst.ruleDim, dst.layers = b.inDim, b.ruleDim, b.layers
 	dst.headW = append(dst.headW[:0], tail[:b.ruleDim]...)
 	dst.headB = tail[b.ruleDim]
 	dst.sel = append(dst.sel[:0], b.sel...)
@@ -164,15 +163,4 @@ func (p *Patch) Fill(dst *Binarized, selected []bool, tail []float64) {
 		dst.sel[pn.node] = slab[start:len(slab):len(slab)]
 	}
 	dst.slab = slab
-}
-
-// CountCorrect returns how many rows of xs the snapshot labels as ys. It
-// is serial and allocation-free once the snapshot's pooled buffers are
-// warm: the streaming valuation engine scores every coalition with it, and
-// its concurrency lives above the snapshot.
-func (b *Binarized) CountCorrect(xs [][]float64, ys []int) int {
-	buf := b.getBuf()
-	ok := b.countCorrect(xs, ys, buf)
-	b.bufs.Put(buf)
-	return ok
 }

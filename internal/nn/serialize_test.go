@@ -53,7 +53,7 @@ func TestModelRoundTrip(t *testing.T) {
 		for i := range x {
 			x[i] = float64(i % 2)
 		}
-		if model.Binarize().Score(x) != back.Binarize().Score(x) {
+		if got, want := scoreAll(t, back.Binarize(), [][]float64{x}), scoreAll(t, model.Binarize(), [][]float64{x}); got[0] != want[0] {
 			t.Fatal("scores diverge after round trip")
 		}
 	}

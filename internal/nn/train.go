@@ -57,8 +57,7 @@ func (m *Model) Clone() *Model {
 
 // gradBuffers holds per-worker backprop scratch space.
 type gradBuffers struct {
-	fwd  *fwdBuffers // continuous pass (kept for partials)
-	fwdD *fwdBuffers // discrete pass (grafting)
+	fwd *fwdBuffers // continuous pass (kept for partials)
 	// gOut[k] is d loss / d layer-k output; gIn[k] the gradient flowing to
 	// layer k's input vector.
 	gOut [][]float64
@@ -77,7 +76,6 @@ type gradBuffers struct {
 func (m *Model) newGradBuffers() *gradBuffers {
 	gb := &gradBuffers{
 		fwd:  newBuffers(m.ruleDim, m.layers),
-		fwdD: newBuffers(m.ruleDim, m.layers),
 		grad: make([]float64, m.numParams()),
 	}
 	for _, l := range m.layers {
@@ -110,18 +108,18 @@ func sigmoid(s float64) float64 {
 }
 
 // backprop accumulates into gb.grad the gradient of the logistic loss on one
-// sample. With grafting, the loss derivative is evaluated at the *binarized*
-// model's score while the parameter partials come from the continuous
-// forward pass — the paper's gradient grafting rule
-// θ^{t+1} = θ^t − η ∂L(Ȳ)/∂Ȳ · ∂Y/∂θ^t. It returns the sample loss.
-func (m *Model) backprop(x []float64, y int, grafting bool, gb *gradBuffers) float64 {
+// sample. With grafting, graft is non-nil and graft[k] is the *binarized*
+// model's score of x: the loss derivative is evaluated there while the
+// parameter partials come from the continuous forward pass — the paper's
+// gradient grafting rule θ^{t+1} = θ^t − η ∂L(Ȳ)/∂Ȳ · ∂Y/∂θ^t. Without
+// it, graft is nil and the continuous score is used. It returns the sample
+// loss.
+func (m *Model) backprop(x []float64, y int, graft []float64, k int, gb *gradBuffers) float64 {
 	// Continuous forward fills gb.fwd with the activations used for partials
 	// and caches every per-element factor for the backward kernels.
-	sCont := m.forwardTrain(x, gb)
-	sUsed := sCont
-	if grafting {
-		// batchGrad compiled the discrete structure for this batch.
-		sUsed = m.graft.eval(x, gb.fwdD)
+	sUsed := m.forwardTrain(x, gb)
+	if graft != nil {
+		sUsed = graft[k]
 	}
 	p := sigmoid(sUsed)
 	dLds := p - float64(y)
@@ -487,8 +485,9 @@ func (m *Model) batchGrad(xs [][]float64, ys []int, batch []int, gbs []*gradBuff
 		workers = len(batch)
 	}
 	inv := 1 / float64(len(batch))
+	var graft []float64
 	if m.cfg.Grafting {
-		m.graft.compile(m) // weights are fixed for the whole batch
+		graft = m.graftBatch(xs, batch)
 	}
 
 	if workers <= 1 {
@@ -499,8 +498,8 @@ func (m *Model) batchGrad(xs [][]float64, ys []int, batch []int, gbs []*gradBuff
 			gb.grad[i] = 0
 		}
 		sum := 0.0
-		for _, s := range batch {
-			sum += m.backprop(xs[s], ys[s], m.cfg.Grafting, gb)
+		for k, s := range batch {
+			sum += m.backprop(xs[s], ys[s], graft, k, gb)
 		}
 		for i, g := range gb.grad {
 			grad[i] = g * inv
@@ -520,18 +519,20 @@ func (m *Model) batchGrad(xs [][]float64, ys []int, batch []int, gbs []*gradBuff
 			hi = len(batch)
 		}
 		wg.Add(1)
-		go func(wkr, lo, hi int) {
+		// graft is passed, not captured: a capture escapes, once per batch.
+		go func(wkr, lo, hi int, graft []float64) {
 			defer wg.Done()
 			gb := gbs[wkr]
 			for i := range gb.grad {
 				gb.grad[i] = 0
 			}
 			sum := 0.0
-			for _, s := range batch[lo:hi] {
-				sum += m.backprop(xs[s], ys[s], m.cfg.Grafting, gb)
+			for k := lo; k < hi; k++ {
+				s := batch[k]
+				sum += m.backprop(xs[s], ys[s], graft, k, gb)
 			}
 			losses[wkr] = sum
-		}(wkr, lo, hi)
+		}(wkr, lo, hi, graft)
 	}
 	wg.Wait()
 
@@ -547,6 +548,23 @@ func (m *Model) batchGrad(xs [][]float64, ys []int, batch []int, gbs []*gradBuff
 		total += losses[wkr]
 	}
 	return total * inv
+}
+
+// graftBatch compiles the discrete model from the current weights, which
+// are fixed for the whole batch, and returns its score of each batch row,
+// computed once on bit columns. It panics on a value other than 0 or 1, as
+// the model's batch entry points do.
+func (m *Model) graftBatch(xs [][]float64, batch []int) []float64 {
+	m.graft.compile(m)
+	if cap(m.graftScores) < len(batch) {
+		m.graftScores = make([]float64, len(batch))
+	}
+	scores := m.graftScores[:len(batch)]
+	m.graftScratch.size(&m.graft)
+	if err := scoreRows(&m.graft, &m.graftScratch, len(batch), func(k int) []float64 { return xs[batch[k]] }, scores); err != nil {
+		panic("nn: " + err.Error())
+	}
+	return scores
 }
 
 func (m *Model) workerCount() int {

@@ -395,31 +395,20 @@ func ValidateUploadFrame(b []byte) (UploadFrameInfo, error) {
 	return info, nil
 }
 
-// uploadRecords re-validates one whole upload frame (it usually arrives from
-// the WAL), rejecting trailing bytes, and returns its info
-// and record bytes: info.Records records of one label byte plus the packed
-// activation bits each.
-func uploadRecords(frame []byte) (UploadFrameInfo, []byte, error) {
-	info, err := ValidateUploadFrame(frame)
-	if err != nil {
-		return UploadFrameInfo{}, nil, err
-	}
-	if info.FrameLen != len(frame) {
-		return UploadFrameInfo{}, nil, fmt.Errorf("protocol: %d trailing bytes after frame", len(frame)-info.FrameLen)
-	}
-	bodyLen := int64(binary.LittleEndian.Uint32(frame[6:frameHeaderLen]))
-	return info, frame[frameHeaderLen+12 : frameHeaderLen+bodyLen], nil
-}
-
-// AppendTrainingRecords decodes one upload frame's records into
-// core.TrainingUpload values appended to dst. All of a frame's activation
-// bitsets share a single backing slab, so the decode costs a constant
-// number of allocations per frame regardless of record count.
+// AppendTrainingRecords validates one whole upload frame, rejecting
+// trailing bytes, and decodes its records into core.TrainingUpload values
+// appended to dst. All of a frame's activation bitsets share a single
+// backing slab, so the decode costs a constant number of allocations per
+// frame regardless of record count.
 func AppendTrainingRecords(dst []core.TrainingUpload, frame []byte) ([]core.TrainingUpload, UploadFrameInfo, error) {
-	info, recs, err := uploadRecords(frame)
+	info, err := ValidateUploadFrame(frame)
+	if err == nil && info.FrameLen != len(frame) {
+		err = fmt.Errorf("protocol: %d trailing bytes after frame", len(frame)-info.FrameLen)
+	}
 	if err != nil {
 		return dst, UploadFrameInfo{}, err
 	}
+	recs := frame[frameHeaderLen+12 : len(frame)-frameCRCLen]
 	slab := bitset.MakeSlab(info.Records, info.RuleWidth)
 	recBytes := 1 + (info.RuleWidth+7)/8
 	for i := range slab {
@@ -431,18 +420,20 @@ func AppendTrainingRecords(dst []core.TrainingUpload, frame []byte) ([]core.Trai
 }
 
 // ExtendIndex decodes one upload frame's records straight into idx — the
-// in-memory half of the server's zero-copy ingest. Every record is unpacked
-// into one reusable set that Append only reads, so no decoded bitset
-// outlives the call. The frame's rule width must match the index's; on any
-// error idx is unchanged.
-func ExtendIndex(idx *core.Index, frame []byte) error {
-	info, recs, err := uploadRecords(frame)
-	if err != nil {
-		return err
+// in-memory half of the server's zero-copy ingest. frame must be exactly a
+// frame ValidateUploadFrame accepted, and info what it returned: the CRC
+// and the structural walk are not repeated, and the records are sliced
+// from the frame directly. Every record is unpacked into one reusable set
+// that Append only reads, so no decoded bitset outlives the call. The
+// frame's rule width must match the index's; on any error idx is unchanged.
+func ExtendIndex(idx *core.Index, frame []byte, info UploadFrameInfo) error {
+	if info.FrameLen != len(frame) {
+		return fmt.Errorf("protocol: frame of %d bytes, validated %d", len(frame), info.FrameLen)
 	}
 	if w := idx.Rules().Width(); info.RuleWidth != w {
 		return fmt.Errorf("protocol: upload rule width %d, index has %d", info.RuleWidth, w)
 	}
+	recs := frame[frameHeaderLen+12 : len(frame)-frameCRCLen]
 	acts := bitset.New(info.RuleWidth)
 	recBytes := 1 + (info.RuleWidth+7)/8
 	for at := 0; at < len(recs); at += recBytes {

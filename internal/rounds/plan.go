@@ -30,13 +30,15 @@ type plan struct {
 
 // evalScratch is one coalition evaluation's working set: the members and
 // their FedAvg shares, the contested weights' selections, the averaged
-// continuous parameters and the pooled snapshot they are filled into.
+// continuous parameters, the pooled snapshot they are filled into and one
+// block's rule columns for scoring it.
 type evalScratch struct {
 	members []int
 	shares  []float64
 	sel     []bool
 	tail    []float64
 	snap    *nn.Binarized
+	cols    []uint64
 }
 
 // newPlan sorts every logical weight of u in one pass over the frame and
@@ -111,8 +113,9 @@ func (p *plan) evalCoalition(mask uint64) (float64, error) {
 	}
 	defer p.e.scratch.Put(sc)
 	p.fill(sc, mask)
-	ok := sc.snap.CountCorrect(p.e.cfg.EvalX, p.e.cfg.EvalY)
-	return float64(ok) / float64(len(p.e.cfg.EvalX)), nil
+	sc.cols = resize(sc.cols, p.e.cfg.Model.RuleDim())
+	ok := sc.snap.CountCorrect(p.e.evalWords, p.e.cfg.EvalY, sc.cols)
+	return float64(ok) / float64(len(p.e.cfg.EvalY)), nil
 }
 
 // fill makes sc.snap the coalition's snapshot.

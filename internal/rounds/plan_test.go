@@ -130,13 +130,12 @@ func TestPlanMatchesFullReconstruction(t *testing.T) {
 		}
 		xs := make([][]float64, 24)
 		ys := make([]int, len(xs))
+		rows := make([]float32, 0, len(xs)*inDim)
 		for i := range xs {
 			xs[i] = make([]float64, inDim)
 			for j := range xs[i] {
 				xs[i][j] = float64(r.Intn(2))
-				if r.Intn(8) == 0 {
-					xs[i][j] = []float64{0.25, -1, 2}[r.Intn(3)]
-				}
+				rows = append(rows, float32(xs[i][j]))
 			}
 			ys[i] = r.Intn(2)
 		}
@@ -163,6 +162,7 @@ func TestPlanMatchesFullReconstruction(t *testing.T) {
 		p := e.newPlan(u)
 		all := uint64(1)<<uint(n) - 1
 		sc := &evalScratch{snap: new(nn.Binarized)}
+		scores, refScores := make([]float64, len(xs)), make([]float64, len(xs))
 		for k := 0; k < 8; k++ {
 			mask := all
 			switch k % 3 {
@@ -190,9 +190,14 @@ func TestPlanMatchesFullReconstruction(t *testing.T) {
 			// Scores match bit for bit, except that NaN payloads may differ
 			// with the order the compiler gives a commutative operation's
 			// operands; a NaN score labels its row 0 either way.
-			for i, x := range xs {
-				g, w := sc.snap.Score(x), ref.Score(x)
-				if math.Float64bits(g) != math.Float64bits(w) && !(math.IsNaN(g) && math.IsNaN(w)) {
+			if err := sc.snap.ScoreBatchFloat32(rows, scores); err != nil {
+				t.Fatal(err)
+			}
+			if err := ref.ScoreBatchFloat32(rows, refScores); err != nil {
+				t.Fatal(err)
+			}
+			for i, g := range scores {
+				if w := refScores[i]; math.Float64bits(g) != math.Float64bits(w) && !(math.IsNaN(g) && math.IsNaN(w)) {
 					t.Fatalf("trial %d (mask %#x) row %d: score %v, full reconstruction %v", trial, mask, i, g, w)
 				}
 			}

@@ -66,7 +66,7 @@ type Config struct {
 	// carry exactly len(Model.Params()) parameters.
 	Model *nn.Model
 	// EvalX/EvalY is the encoded held-out evaluation set coalition utilities
-	// are measured on (accuracy).
+	// are measured on (accuracy): {0,1} rows Model.InDim() wide.
 	EvalX [][]float64
 	EvalY []int
 	// Epsilon is the between-round truncation threshold: a round whose
@@ -120,6 +120,7 @@ type Engine struct {
 	paramCount   int
 	emptyUtility float64
 	obs          *Obs
+	evalWords    []uint64 // EvalX packed into bit columns once
 
 	mu          sync.Mutex
 	rounds      int // high-water: last applied round + 1
@@ -144,7 +145,8 @@ type Engine struct {
 }
 
 // New builds an engine. The empty-coalition utility is the evaluation set's
-// majority-class accuracy, mirroring valuation.NewOracle.
+// majority-class accuracy, mirroring valuation.NewOracle. It refuses an
+// evaluation row of another width or holding a value other than 0 or 1.
 func New(cfg Config) (*Engine, error) {
 	cfg = cfg.withDefaults()
 	if cfg.Model == nil {
@@ -153,6 +155,11 @@ func New(cfg Config) (*Engine, error) {
 	if len(cfg.EvalX) == 0 || len(cfg.EvalX) != len(cfg.EvalY) {
 		return nil, fmt.Errorf("rounds: evaluation set has %d rows and %d labels", len(cfg.EvalX), len(cfg.EvalY))
 	}
+	words, err := nn.PackRows(cfg.EvalX, cfg.Model.InDim())
+	if err != nil {
+		return nil, fmt.Errorf("rounds: evaluation set: %w", err)
+	}
+	cfg.EvalX = nil // the engine reads only its packed form
 	pos := 0
 	for _, y := range cfg.EvalY {
 		if y == 1 {
@@ -168,6 +175,7 @@ func New(cfg Config) (*Engine, error) {
 		paramCount:   len(cfg.Model.Params()),
 		emptyUtility: maj,
 		obs:          cfg.Obs,
+		evalWords:    words,
 		updated:      make(chan struct{}),
 	}
 	if e.obs == nil {

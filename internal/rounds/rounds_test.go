@@ -416,6 +416,30 @@ func TestOutcomeCodecRoundTrip(t *testing.T) {
 	}
 }
 
+// TestNewRejectsMalformedEvalSet pins the evaluation set's input contract.
+// New packs the rows into bit columns once, so it refuses a row of the
+// wrong width, or one holding a value other than 0 or 1, instead of letting
+// a later round panic or mis-score it.
+func TestNewRejectsMalformedEvalSet(t *testing.T) {
+	m, err := nn.New(3, nn.Config{Hidden: []int{4}, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ys := []int{1, 0}
+	if _, err := New(Config{Model: m, EvalX: [][]float64{{1, 0, 1}, {0, math.Copysign(0, -1), 1}}, EvalY: ys}); err != nil {
+		t.Fatalf("New refused a {0,1} evaluation set: %v", err)
+	}
+	for name, xs := range map[string][][]float64{
+		"short row": {{1, 0, 1}, {1, 0}},
+		"long row":  {{1, 0, 1, 0}, {1, 0, 1}},
+		"0.5":       {{1, 0, 1}, {0, 0.5, 1}},
+	} {
+		if _, err := New(Config{Model: m, EvalX: xs, EvalY: ys}); err == nil {
+			t.Errorf("%s: New accepted the evaluation set", name)
+		}
+	}
+}
+
 // TestEvalCoalitionSteadyStateAllocs pins the scratch pooling: once the
 // per-evaluation pool is warm, reconstructing and scoring a coalition heap-
 // allocates nothing — the averaging buffers and the patched snapshot are

@@ -3,9 +3,10 @@ package server
 // POST /v1/predict — the compiled-inference serving path. Publishing a
 // model compiles it once, into the nn.Binarized snapshot its extracted
 // rules.Set holds; that same snapshot, which also produces the tracer's
-// rule activations, scores batches of encoded {0,1} feature rows here. The
-// endpoint's native format is the binary v2 predict frame; JSON is
-// negotiable on both sides:
+// rule activations, scores batches of encoded {0,1} feature rows here
+// through ScoreBatchFloat32, which packs them into bit columns and rejects
+// any other value (400). The endpoint's native format is the binary v2
+// predict frame; JSON is negotiable on both sides:
 //
 //	request   Content-Type application/x-ctfl (or absent) → binary frame
 //	          Content-Type application/json → {"rows": [[0,1,...], ...]}
@@ -14,8 +15,8 @@ package server
 //
 // The handler is allocation-lean: request body, decoded rows, scores, and
 // the response frame all come from a pooled scratch set, and scoring runs
-// through the evaluator's own pooled buffers — steady state, the only
-// per-request allocations are net/http's.
+// serially on the evaluator's pooled bit-column scratch — steady state, at
+// any GOMAXPROCS, the only per-request allocations are net/http's.
 
 import (
 	"encoding/json"
@@ -144,13 +145,6 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 		rows = req.AppendRows(rows)
 	}
 	sc.rows = rows
-	for i, v := range rows {
-		if v != 0 && v != 1 {
-			httpError(w, http.StatusBadRequest,
-				fmt.Errorf("feature value %g at offset %d: inputs must be the encoder's {0,1} predicates", v, i))
-			return
-		}
-	}
 
 	n := len(rows) / width
 	scores := sc.scores
@@ -159,7 +153,10 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 	}
 	scores = scores[:n]
 	sc.scores = scores
-	bin.ScoreBatchFloat32(rows, scores)
+	if err := bin.ScoreBatchFloat32(rows, scores); err != nil {
+		httpError(w, http.StatusBadRequest, err)
+		return
+	}
 	s.predictRows.Add(int64(n))
 
 	if acceptsFrame(r) {

@@ -53,6 +53,17 @@ func encodeRows(t *testing.T, enc *dataset.Encoder, n int) (rows []float32, ref 
 	return rows, ref
 }
 
+// localScores scores wire rows in process, on the snapshot the server
+// serves.
+func localScores(t *testing.T, bin *nn.Binarized, rows []float32) []float64 {
+	t.Helper()
+	scores := make([]float64, len(rows)/bin.InDim())
+	if err := bin.ScoreBatchFloat32(rows, scores); err != nil {
+		t.Fatal(err)
+	}
+	return scores
+}
+
 func TestPredictBinary(t *testing.T) {
 	if testing.Short() {
 		t.Skip("training test")
@@ -99,9 +110,10 @@ func TestPredictBinary(t *testing.T) {
 	if len(scores) != len(ref) {
 		t.Fatalf("%d scores for %d rows", len(scores), len(ref))
 	}
-	for i, x := range ref {
-		if want := bin.Score(x); scores[i] != want {
-			t.Fatalf("row %d: served %v, local %v", i, scores[i], want)
+	want := localScores(t, bin, rows)
+	for i := range ref {
+		if scores[i] != want[i] {
+			t.Fatalf("row %d: served %v, local %v", i, scores[i], want[i])
 		}
 	}
 }
@@ -114,7 +126,8 @@ func TestPredictJSONAndNegotiation(t *testing.T) {
 	ts := httptest.NewServer(New())
 	defer ts.Close()
 	enc, bin := predictFixture(t, ts, fx)
-	_, ref := encodeRows(t, enc, 3)
+	rows, ref := encodeRows(t, enc, 3)
+	want := localScores(t, bin, rows)
 
 	payload, err := json.Marshal(map[string]any{"rows": ref})
 	if err != nil {
@@ -136,9 +149,9 @@ func TestPredictJSONAndNegotiation(t *testing.T) {
 	if out.Rows != len(ref) || len(out.Scores) != len(ref) {
 		t.Fatalf("response %+v", out)
 	}
-	for i, x := range ref {
-		if want := bin.Score(x); out.Scores[i] != want {
-			t.Fatalf("row %d: served %v, local %v", i, out.Scores[i], want)
+	for i := range ref {
+		if out.Scores[i] != want[i] {
+			t.Fatalf("row %d: served %v, local %v", i, out.Scores[i], want[i])
 		}
 	}
 
@@ -251,9 +264,10 @@ func TestClientPredict(t *testing.T) {
 	if len(scores) != len(ref) {
 		t.Fatalf("%d scores for %d rows", len(scores), len(ref))
 	}
-	for i, x := range ref {
-		if want := bin.Score(x); scores[i] != want {
-			t.Fatalf("row %d: client %v, local %v", i, scores[i], want)
+	want := localScores(t, bin, rows)
+	for i := range ref {
+		if scores[i] != want[i] {
+			t.Fatalf("row %d: client %v, local %v", i, scores[i], want[i])
 		}
 	}
 }

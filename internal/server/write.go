@@ -25,11 +25,14 @@ import (
 // change is one prepared event. val is what prepare decoded from the
 // payload (*dataset.Encoder, *nn.Model or an eval set's *dataset.Table), or
 // the *rounds.Outcome the round handler computed; nil leaves the payload to
-// apply. basis is the part of the state it was validated against.
+// apply; an upload frame's validation result is upload, so apply does not
+// walk the frame again. basis is the part of the state it was validated
+// against.
 type change struct {
-	ev    store.Event
-	val   any
-	basis any
+	ev     store.Event
+	val    any
+	upload protocol.UploadFrameInfo
+	basis  any
 }
 
 // basisOf returns the part of st a change of type t is validated against.
@@ -101,6 +104,7 @@ func (st *state) prepare(ev store.Event) ([]change, error) {
 				return nil, badRequest(fmt.Errorf("upload rule width %d, model has %d", info.RuleWidth, st.rs.Width()))
 			}
 			c.ev.Payload, rest = rest[:info.FrameLen:info.FrameLen], rest[info.FrameLen:]
+			c.upload = info
 			cs = append(cs, c)
 		}
 		return cs, nil
@@ -152,7 +156,7 @@ func (st *state) apply(c change, cfg *rounds.Config) error {
 	case store.EventUpload:
 		// The frame decodes straight into the index, and the raw frame is
 		// kept for snapshots: the server never re-encodes what a client sent.
-		if err := protocol.ExtendIndex(st.idx, c.ev.Payload); err != nil {
+		if err := protocol.ExtendIndex(st.idx, c.ev.Payload, c.upload); err != nil {
 			return err
 		}
 		st.frames = append(st.frames, c.ev.Payload)

@@ -32,6 +32,9 @@ go vet ./...
 echo "== go vet (bench/, a nested module the root ./... skips)"
 (cd bench && go vet ./...)
 
+echo "== go test (bench/: TestBenchSmoke builds ctflsrv and runs every workload's output checks)"
+(cd bench && go test -count=1 ./...)
+
 echo "== deadcode (every non-test function has a non-test caller or a keep-list reason)"
 go run ./scripts/deadcode
 
@@ -71,7 +74,7 @@ go test -run=TestIndexAppendExistingGroupZeroAlloc -count=1 -v ./internal/core/ 
 echo "== zero-alloc pins (wire-protocol ingest + predict hot paths)"
 go test -run=TestValidateUploadFrameZeroAlloc -count=1 -v ./internal/protocol/ | grep -E 'PASS|FAIL|allocates'
 go test -run=TestValidateRoundUpdateFrameZeroAlloc -count=1 -v ./internal/protocol/ | grep -E 'PASS|FAIL|allocates'
-go test -run=TestBinarizedScoreBatchZeroAlloc -count=1 -v ./internal/nn/ | grep -E 'PASS|FAIL|allocates'
+go test -run=TestBinarizedScoreBatchZeroAlloc -count=1 -cpu 1,2 -v ./internal/nn/ | grep -E 'PASS|FAIL|allocates'
 
 echo "== zero-alloc pin (flight recorder steady state)"
 go test -run=TestRecordSteadyStateZeroAlloc -count=1 -v ./internal/flight/ | grep -E 'PASS|FAIL|allocates'

@@ -57,8 +57,6 @@ var keep = map[string]string{
 	"internal/core.MergeResults":        "additivity evidence that EXPERIMENTS.md cites",
 	"internal/core.Result.RecallScores": "per-class metric evidence that EXPERIMENTS.md cites",
 
-	"internal/nn.Binarized.Score": "single-row reference the batch evaluators are tested against",
-
 	// Test-harness seams: the fault injector the chaos tests drive, and the
 	// in-process server and client they run against.
 	"internal/faults.New":                      seam,
